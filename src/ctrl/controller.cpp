@@ -23,31 +23,9 @@ Controller::Controller(ControllerConfig config)
   DE_REQUIRE(config_.drift_threshold > 0, "drift threshold must be positive");
 }
 
-Controller::~Controller() { stop(); }
-
-void Controller::start(rpc::Transport& transport,
-                       const sim::RawStrategy& serving,
-                       rpc::LinkRateSampler* local_links) {
-  DE_REQUIRE(!thread_.joinable(), "controller already started");
-  transport_ = &transport;
-  local_links_ = local_links;
-  serving_ = serving;
-  base_strategy_ = serving;
-  const int n = static_cast<int>(config_.latency.size());
-  dead_.assign(static_cast<std::size_t>(n), false);
-  baseline_rates_.assign(static_cast<std::size_t>(n), 0.0);
-  for (int i = 0; i < n; ++i) {
-    baseline_rates_[static_cast<std::size_t>(i)] =
-        config_.network.device_rate(i, 0.0);
-  }
-  last_swap_ = std::chrono::steady_clock::now();
-  stop_.store(false);
-  thread_ = std::thread([this] { loop(); });
-}
-
 void Controller::start_external(const sim::RawStrategy& serving) {
-  DE_REQUIRE(!thread_.joinable() && !external_, "controller already started");
-  external_ = true;
+  DE_REQUIRE(!started_, "controller already started");
+  started_ = true;
   serving_ = serving;
   base_strategy_ = serving;
   const int n = static_cast<int>(config_.latency.size());
@@ -61,11 +39,7 @@ void Controller::start_external(const sim::RawStrategy& serving) {
 }
 
 void Controller::ingest(const rpc::TelemetryMsg& msg) {
-  DE_REQUIRE(external_, "ingest() requires start_external()");
-  if (config_.clock_sync != nullptr && msg.steady_now_us > 0) {
-    config_.clock_sync->ingest(msg.from_node, msg.steady_now_us,
-                               obs::now_us() - config_.clock_origin_us);
-  }
+  DE_REQUIRE(started_, "ingest() requires start_external()");
   obs::trace_instant(obs::Cat::kDriftSample, -1, -1, -1, msg.from_node);
   book_.ingest(msg);
   {
@@ -77,8 +51,10 @@ void Controller::ingest(const rpc::TelemetryMsg& msg) {
   try {
     check_and_plan();
   } catch (const std::exception&) {
-    // Same containment as the threaded loop: a planner failure on a
-    // degenerate view keeps the stream serving its current strategy.
+    // A planner/simulator failure on a degenerate refreshed view must not
+    // take the serving loop down: the stream keeps serving the current
+    // strategy, the failure is visible in stats, and the next telemetry
+    // frame retries.
     std::lock_guard lk(mu_);
     ++stats_.plan_failures;
   }
@@ -86,10 +62,7 @@ void Controller::ingest(const rpc::TelemetryMsg& msg) {
 
 void Controller::ingest_heartbeat(const rpc::HeartbeatMsg& msg,
                                   std::int64_t received_us) {
-  DE_REQUIRE(external_, "ingest_heartbeat() requires start_external()");
-  if (config_.clock_sync != nullptr && msg.steady_now_us > 0) {
-    config_.clock_sync->ingest(msg.from_node, msg.steady_now_us, received_us);
-  }
+  DE_REQUIRE(started_, "ingest_heartbeat() requires start_external()");
   if (book_.ingest_heartbeat(msg.from_node, msg.hb_seq, msg.steady_now_us,
                              received_us)) {
     std::lock_guard lk(mu_);
@@ -119,11 +92,6 @@ bool Controller::membership_pending() const {
 bool Controller::death_pending() const {
   std::lock_guard lk(mu_);
   return pending_.has_value() && !pending_->died.empty();
-}
-
-void Controller::stop() {
-  stop_.store(true);
-  if (thread_.joinable()) thread_.join();
 }
 
 ControllerStats Controller::stats() const {
@@ -200,74 +168,6 @@ std::string membership_json(const Controller::MembershipView& view,
   return out;
 }
 
-void Controller::loop() {
-  obs::bind_thread("ctrl", transport_ != nullptr ? transport_->local_node()
-                                                 : -1);
-  while (!stop_.load()) {
-    rpc::Frame frame;
-    switch (transport_->receive_for(rpc::kTelemetryMailbox, config_.poll_ms,
-                                    frame)) {
-      case rpc::RecvStatus::kClosed:
-        return;  // fabric went down; the serving loop is tearing down too
-      case rpc::RecvStatus::kOk:
-        try {
-          if (rpc::peek_type(frame) == rpc::MsgType::kHeartbeat) {
-            const rpc::HeartbeatMsg hb = rpc::decode_heartbeat(frame);
-            const std::int64_t received_us =
-                obs::now_us() - config_.clock_origin_us;
-            if (config_.clock_sync != nullptr && hb.steady_now_us > 0) {
-              config_.clock_sync->ingest(hb.from_node, hb.steady_now_us,
-                                         received_us);
-            }
-            if (book_.ingest_heartbeat(hb.from_node, hb.hb_seq,
-                                       hb.steady_now_us, received_us)) {
-              std::lock_guard lk(mu_);
-              ++stats_.heartbeats;
-            }
-          } else {
-            const rpc::TelemetryMsg msg = rpc::decode_telemetry(frame);
-            if (config_.clock_sync != nullptr && msg.steady_now_us > 0) {
-              config_.clock_sync->ingest(
-                  msg.from_node, msg.steady_now_us,
-                  obs::now_us() - config_.clock_origin_us);
-            }
-            obs::trace_instant(obs::Cat::kDriftSample, -1, -1, -1,
-                               msg.from_node);
-            book_.ingest(msg);
-            std::lock_guard lk(mu_);
-            ++stats_.telemetry_frames;
-          }
-        } catch (const Error&) {
-          // Malformed control frame: ignore, like the data plane does.
-        }
-        break;
-      case rpc::RecvStatus::kTimeout:
-        break;
-    }
-    if (config_.lease_ms > 0) {
-      sweep_leases(obs::now_us() - config_.clock_origin_us);
-    }
-    if (local_links_ != nullptr) {
-      book_.ingest_links(transport_->local_node(),
-                         local_links_->sample_link_rates());
-    }
-    {
-      std::lock_guard lk(mu_);
-      stats_.device_mbps = book_.device_rates();
-    }
-    try {
-      check_and_plan();
-    } catch (const std::exception&) {
-      // A planner/simulator failure on a degenerate refreshed view must
-      // not take the process down (this thread has no other handler) —
-      // the stream keeps serving the current strategy; the failure is
-      // visible in stats and the next telemetry tick retries.
-      std::lock_guard lk(mu_);
-      ++stats_.plan_failures;
-    }
-  }
-}
-
 void Controller::handle_membership(const std::vector<MembershipEvent>& events) {
   std::vector<rpc::NodeId> died;
   std::vector<rpc::NodeId> joined;
@@ -320,18 +220,7 @@ void Controller::handle_membership(const std::vector<MembershipEvent>& events) {
       link.trace = net::ThroughputTrace::constant(0.001);
       refreshed.set_device_link(i, link);
     }
-    core::PlanContext ctx;
-    ctx.model = config_.model;
-    ctx.latency = config_.latency;
-    ctx.network = &refreshed;
-    {
-      std::lock_guard lk(mu_);
-      ++stats_.replans;
-    }
-    core::DistributionStrategy planned = config_.planner->plan(ctx);
-    planned.validate(*config_.model, n);
-    raw = planned.to_raw(*config_.model);
-    base_strategy_ = raw;
+    raw = replan(config_.latency, refreshed);
   } catch (const std::exception&) {
     std::lock_guard lk(mu_);
     ++stats_.plan_failures;
@@ -383,6 +272,22 @@ void Controller::handle_membership(const std::vector<MembershipEvent>& events) {
   pending_ = std::move(decision);
 }
 
+sim::RawStrategy Controller::replan(const sim::ClusterLatency& latency,
+                                    const net::Network& network) {
+  core::PlanContext ctx;
+  ctx.model = config_.model;
+  ctx.latency = latency;
+  ctx.network = &network;
+  {
+    std::lock_guard lk(mu_);
+    ++stats_.replans;
+  }
+  core::DistributionStrategy planned = config_.planner->plan(ctx);
+  planned.validate(*config_.model, static_cast<int>(latency.size()));
+  base_strategy_ = planned.to_raw(*config_.model);
+  return base_strategy_;
+}
+
 void Controller::check_and_plan() {
   {
     std::lock_guard lk(mu_);
@@ -425,20 +330,9 @@ void Controller::check_and_plan() {
     latency = scale_latency(config_.latency, factors);
   }
 
-  core::PlanContext ctx;
-  ctx.model = config_.model;
-  ctx.latency = latency;
-  ctx.network = &refreshed;
-  {
-    std::lock_guard lk(mu_);
-    ++stats_.replans;
-  }
-  obs::SpanScope replan(obs::Cat::kReplan, -1, -1, -1,
-                        static_cast<std::int64_t>(drift * 1000));
-  core::DistributionStrategy planned = config_.planner->plan(ctx);
-  planned.validate(*config_.model, n);
-  sim::RawStrategy raw = planned.to_raw(*config_.model);
-  base_strategy_ = raw;
+  obs::SpanScope span(obs::Cat::kReplan, -1, -1, -1,
+                      static_cast<std::int64_t>(drift * 1000));
+  sim::RawStrategy raw = replan(latency, refreshed);
   // A drift replan after a death must not resurrect the dead: the planner
   // has no concept of membership, so its output is re-masked here.
   if (std::find(dead_.begin(), dead_.end(), true) != dead_.end()) {

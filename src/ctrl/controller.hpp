@@ -1,35 +1,34 @@
-// The adaptive controller (DESIGN.md §control-plane): the thread that
-// closes the loop between runtime telemetry and the planners.
+// The adaptive controller (DESIGN.md §control-plane): closes the loop
+// between runtime telemetry and the planners.
 //
 //   telemetry frames ──> TelemetryBook ──> refreshed Network/ClusterLatency
-//        (kTelemetryMailbox)                        │ drift > threshold?
-//                                                   v
+//     (fed by the serving                          │ drift > threshold?
+//      front door: ingest())                       v
 //   serving loop  <── SwapDecision <── planner.plan(refreshed ctx)
 //    (take_swap)        │ keep only if the event simulator predicts the new
 //                       │ strategy beats the serving one on the refreshed
 //                       v view (paper §V-F: the old strategy keeps serving
-//                  while planning runs — the controller thread plans, the
-//                  requester thread swaps at an image boundary)
+//                  while planning runs — the controller plans, the front
+//                  door swaps at an image boundary)
 //
-// The controller never touches the data plane itself: it drains its own
-// mailbox, plans on its own thread, and publishes at most one pending
-// decision that the serving loop picks up between images and turns into a
-// kReconfigure epoch (runtime::push_epoch).
+// The controller owns no thread and no mailbox: the front door
+// (serve::StreamServer) drains the fleet's shared telemetry mailbox once
+// and pushes every frame through ingest()/ingest_heartbeat(), and planning
+// runs inline on the caller's thread. It never touches the data plane
+// itself: it publishes at most one pending decision that the door picks up
+// between images and turns into a kReconfigure epoch
+// (runtime::push_stream_epoch).
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 
 #include "core/planner.hpp"
 #include "ctrl/telemetry.hpp"
 #include "device/profiler.hpp"
-#include "obs/trace_export.hpp"
-#include "rpc/shaped_transport.hpp"
-#include "rpc/transport.hpp"
+#include "rpc/wire.hpp"
 #include "sim/exec_sim.hpp"
 
 namespace de::ctrl {
@@ -48,20 +47,10 @@ struct ControllerConfig {
   /// Predicted one-image-latency gain (fraction) a new strategy must show
   /// on the refreshed view before it is offered for a swap.
   double improvement_margin = 0.03;
-  /// Telemetry-mailbox wait per loop tick.
-  int poll_ms = 10;
   /// Debounce: minimum wall seconds between published swaps.
   Seconds min_swap_gap_s = 0.25;
   /// Fold measured/predicted compute ratios into the latency view.
   bool calibrate_compute = true;
-  /// Optional trace-merge clock book (not owned). The controller is the
-  /// thread that drains telemetry, so it is also the natural collector of
-  /// the kTelemetry steady-clock samples (wire v4): each frame's
-  /// `steady_now_us` is ingested as (reported, received-on-our-clock).
-  obs::ClockSyncBook* clock_sync = nullptr;
-  /// The collector node's own clock origin, subtracted from the receive
-  /// timestamp so both sides of a sample are node-local clocks.
-  std::int64_t clock_origin_us = 0;
   /// Membership lease in milliseconds; 0 disables heartbeat tracking. A
   /// device whose kHeartbeat renewals stop for longer than this (judged on
   /// the controller's own arrival clock — clock skew cannot kill a node) is
@@ -108,39 +97,22 @@ struct ControllerStats {
 class Controller {
  public:
   explicit Controller(ControllerConfig config);
-  ~Controller();
 
   Controller(const Controller&) = delete;
   Controller& operator=(const Controller&) = delete;
 
-  /// Starts the control loop: drains `transport`'s kTelemetryMailbox
-  /// (which must be open) and replans against drift from the rates
-  /// underlying `serving`. `local_links`, when given, is sampled every
-  /// tick for the controller node's own outgoing links (the scatter
-  /// direction — no wire hop needed). The transport must outlive stop().
-  void start(rpc::Transport& transport, const sim::RawStrategy& serving,
-             rpc::LinkRateSampler* local_links = nullptr);
-
-  /// External-feed alternative to start(): no thread and no mailbox of its
-  /// own. The owner pushes each telemetry frame through ingest() and
-  /// planning runs inline on the caller's thread. This is how the serving
-  /// front door runs one controller per tenant stream off the *shared*
-  /// telemetry mailbox: the door drains the mailbox once and fans every
-  /// frame to all tenant controllers (provider compute windows mix the
-  /// tenants' images, so each controller sees the same fleet view).
+  /// Arms the controller against drift from the rates underlying
+  /// `serving`. The owner then pushes each telemetry frame through
+  /// ingest(). This is how the serving front door runs one controller per
+  /// tenant stream off the *shared* telemetry mailbox: the door drains the
+  /// mailbox once and fans every frame to all tenant controllers (provider
+  /// compute windows mix the tenants' images, so each controller sees the
+  /// same fleet view).
   void start_external(const sim::RawStrategy& serving);
 
-  /// Feeds one already-decoded telemetry frame (start_external mode only).
+  /// Feeds one already-decoded telemetry frame (after start_external()).
   /// Cheap when no replan triggers; a planner invocation runs inline.
   void ingest(const rpc::TelemetryMsg& msg);
-
-  /// Wires the trace-merge clock book (see ControllerConfig::clock_sync)
-  /// after construction — serve_stream calls this for traced runs, because
-  /// only it knows the fabric's clock origins. Must precede start().
-  void set_clock_sync(obs::ClockSyncBook* book, std::int64_t origin_us) {
-    config_.clock_sync = book;
-    config_.clock_origin_us = origin_us;
-  }
 
   /// The serving loop's half: pops the pending decision, if any. Taking it
   /// commits the controller to the new strategy as its drift baseline.
@@ -158,15 +130,11 @@ class Controller {
   /// cancelled would strand its already-consumed chunks.
   bool death_pending() const;
 
-  /// Feeds one already-decoded heartbeat (start_external mode only — the
-  /// threaded loop drains its own mailbox). `received_us` is the caller's
-  /// receive-time clock; lease expiry is swept against the same clock on
-  /// the next ingest/poll.
+  /// Feeds one already-decoded heartbeat (after start_external()).
+  /// `received_us` is the caller's receive-time clock; lease expiry is
+  /// swept against the same clock on the next ingest.
   void ingest_heartbeat(const rpc::HeartbeatMsg& msg,
                         std::int64_t received_us);
-
-  /// Stops and joins the control loop. Idempotent; also run on destruction.
-  void stop();
 
   ControllerStats stats() const;
 
@@ -197,14 +165,15 @@ class Controller {
   MembershipView membership_view(std::int64_t now_us) const;
 
  private:
-  void loop();
   void check_and_plan();
+  /// Runs the planner on (latency, network) and records the result as the
+  /// last full (unmasked) strategy.
+  sim::RawStrategy replan(const sim::ClusterLatency& latency,
+                          const net::Network& network);
   void sweep_leases(std::int64_t now_us);
   void handle_membership(const std::vector<MembershipEvent>& events);
 
   ControllerConfig config_;
-  rpc::Transport* transport_ = nullptr;
-  rpc::LinkRateSampler* local_links_ = nullptr;
 
   TelemetryBook book_;
   sim::RawStrategy serving_;
@@ -219,9 +188,7 @@ class Controller {
   std::optional<SwapDecision> pending_;
   ControllerStats stats_;
 
-  std::atomic<bool> stop_{false};
-  std::thread thread_;
-  bool external_ = false;  ///< start_external mode: no thread, ingest()-fed
+  bool started_ = false;  ///< start_external() ran; ingest() may be fed
 };
 
 /// Renders a MembershipView as the ops plane's /membership JSON document.

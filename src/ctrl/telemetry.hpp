@@ -1,8 +1,8 @@
 // Telemetry aggregation of the adaptive control plane (DESIGN.md
 // §control-plane): wire kTelemetry reports stream in from the providers
-// (plus the requester's own link samples) and this book folds them into a
-// per-device view — achieved link Mbps and measured per-image compute —
-// that refreshes the planner's net::Network / ClusterLatency knowledge.
+// and this book folds them into a per-device view — achieved link Mbps
+// and measured per-image compute — that refreshes the planner's
+// net::Network / ClusterLatency knowledge.
 //
 // Rate attribution: a sample on link u -> v reports min(rate_u, rate_v) —
 // a *lower bound* on both radios, so naively folding it into both
@@ -46,8 +46,8 @@ class TelemetryBook {
   /// reports from unknown node ids are ignored.
   void ingest(const rpc::TelemetryMsg& msg);
 
-  /// Folds locally-sampled link rates in (the requester's own shaper —
-  /// no wire hop needed for the node the controller runs on).
+  /// Folds one reporter's link samples in (ingest() routes each report's
+  /// links here).
   void ingest_links(rpc::NodeId reporter,
                     const std::vector<rpc::LinkRateSample>& links);
 

@@ -1,9 +1,9 @@
 // Live ops plane front door (DESIGN.md §observability, "Ops plane"): a
 // tiny HTTP/1.0 server on a loopback listener, serving GET requests from a
 // thread-safe route table. One server instance is shared by whatever wants
-// to expose state — serve_stream registers /metrics, /healthz, /membership,
-// /streams and /trace/dump for its run's lifetime; the front door
-// (serve::StreamServer) registers the same set for its tenants.
+// to expose state — the serving front door (serve::StreamServer, and so
+// every serve_stream run) registers /metrics, /healthz, /membership,
+// /streams and /trace/dump for its lifetime.
 //
 // This is deliberately not a web framework: HTTP/1.0, GET only, one
 // request per connection, Connection: close. What it does inherit is the

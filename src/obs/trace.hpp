@@ -55,7 +55,6 @@ enum class Cat : std::uint16_t {
   kParkChunk,        ///< provider: chunk of an unannounced epoch parked
   kEpochRegister,    ///< provider: reconfigure announcement registered
   kEpochPush,        ///< requester: new epoch announced to the providers
-  kImageRestart,     ///< provider: image re-mapped mid-wait, restarting
   kReplan,           ///< controller: drift exceeded, planner invoked
   kSwapDecision,     ///< controller: new strategy published for cutover
   kDriftSample,      ///< controller: telemetry tick (arg = drift * 1e3)

@@ -10,7 +10,15 @@ namespace de::obs {
 void ClockSyncBook::ingest(int node, std::int64_t reported_us,
                            std::int64_t received_us) {
   std::lock_guard lk(mu_);
-  samples_.push_back({node, reported_us, received_us});
+  const auto it = std::find_if(samples_.begin(), samples_.end(),
+                               [node](const ClockSample& s) {
+                                 return s.node == node;
+                               });
+  if (it == samples_.end()) {
+    samples_.push_back({node, reported_us, received_us});
+  } else if (received_us - reported_us < it->received_us - it->reported_us) {
+    *it = {node, reported_us, received_us};
+  }
 }
 
 std::vector<std::int64_t> ClockSyncBook::offsets_us(int n_nodes) const {

@@ -4,8 +4,8 @@
 // timebase (node-local micros = process micros - the node's clock origin;
 // on a real deployment these are genuinely independent clocks). To see one
 // image flow requester -> provider -> requester on a single timeline, the
-// per-node traces must be aligned: every kTelemetry frame carries the
-// sender's node-local steady clock at publish (wire v4), the receiver
+// per-node traces must be aligned: every kTelemetry (and kHeartbeat) frame
+// carries the sender's node-local steady clock at publish, the receiver
 // stamps its own local clock at ingest, and the pair bounds the offset
 // between the two clocks to within the one-way delivery delay. The merge
 // takes, per node, the *minimum* observed (receive - report) difference —
@@ -39,10 +39,11 @@ struct ClockSample {
   std::int64_t received_us = 0;
 };
 
-/// Accumulates ClockSamples per node and estimates, for each node, the
-/// offset that maps its local clock into the collector's: collector_time ~
-/// node_time + offset(node). Thread-safe ingest (the requester's serve loop
-/// and a controller may both feed it).
+/// Estimates, for each node, the offset that maps its local clock into the
+/// collector's: collector_time ~ node_time + offset(node). Only the sample
+/// with the least delivery delay per node is kept (the only one the
+/// estimate uses), so a long-lived collector feeding it every telemetry
+/// frame and heartbeat stays bounded. Thread-safe ingest.
 class ClockSyncBook {
  public:
   void ingest(int node, std::int64_t reported_us, std::int64_t received_us);
@@ -54,6 +55,7 @@ class ClockSyncBook {
       std::numeric_limits<std::int64_t>::min();
   std::vector<std::int64_t> offsets_us(int n_nodes) const;
 
+  /// The retained sample of every node heard from, one per node.
   std::vector<ClockSample> samples() const;
 
  private:

@@ -16,33 +16,16 @@ void write_header(core::ByteWriter& w, MsgType type) {
   w.u16(static_cast<std::uint16_t>(type));
 }
 
-struct Header {
-  std::uint16_t version = 0;
-  MsgType type = MsgType::kShutdown;
-};
-
-Header read_header(core::ByteReader& r) {
+/// Every node is built from one tree, so there is one wire version: a
+/// frame of any other version is malformed.
+MsgType read_header(core::ByteReader& r) {
   DE_REQUIRE(r.u32() == kWireMagic, "wire: bad magic");
-  Header h;
-  h.version = r.u16();
-  DE_REQUIRE(h.version >= 1 && h.version <= kWireVersion,
-             "wire: unsupported version");
+  DE_REQUIRE(r.u16() == kWireVersion, "wire: unsupported version");
   const auto raw = r.u16();
-  // v1 streams end at kShutdown; ack/nack are v2; the control-plane
-  // telemetry/reconfigure types arrived in v3 (v4 only widens kTelemetry);
-  // the stream session + dispatch types are v5; heartbeat/membership/lane
-  // eviction are v6.
-  const auto max_type =
-      h.version == 1   ? static_cast<std::uint16_t>(MsgType::kShutdown)
-      : h.version == 2 ? static_cast<std::uint16_t>(MsgType::kNack)
-      : h.version <= 4 ? static_cast<std::uint16_t>(MsgType::kReconfigure)
-      : h.version == 5 ? static_cast<std::uint16_t>(MsgType::kDispatch)
-                       : static_cast<std::uint16_t>(MsgType::kLaneEvict);
   DE_REQUIRE(raw >= static_cast<std::uint16_t>(MsgType::kScatter) &&
-                 raw <= max_type,
+                 raw <= static_cast<std::uint16_t>(MsgType::kLaneEvict),
              "wire: unknown message type");
-  h.type = static_cast<MsgType>(raw);
-  return h;
+  return static_cast<MsgType>(raw);
 }
 
 }  // namespace
@@ -54,7 +37,7 @@ bool is_chunk_type(MsgType t) {
 
 MsgType peek_type(std::span<const std::uint8_t> frame) {
   core::ByteReader r(frame);
-  return read_header(r).type;
+  return read_header(r);
 }
 
 namespace {
@@ -154,28 +137,21 @@ Payload encode_nack(const NackMsg& msg) {
 
 ChunkView decode_chunk_view(std::span<const std::uint8_t> frame) {
   core::ByteReader r(frame);
-  const Header header = read_header(r);
   ChunkView view;
-  view.type = header.type;
+  view.type = read_header(r);
   DE_REQUIRE(is_chunk_type(view.type), "wire: frame is not a tensor chunk");
   view.seq = r.i32();
   view.volume = r.i32();
   view.row_offset = r.i32();
-  if (header.version >= 2) {
-    view.from_node = r.i32();
-    view.chunk_id = r.u32();
-    DE_REQUIRE(view.from_node >= kNilNode, "wire: malformed chunk sender");
-    DE_REQUIRE(view.chunk_id == 0 || view.from_node != kNilNode,
-               "wire: tracked chunk without a sender");
-  }
-  if (header.version >= 3) {
-    view.epoch = r.i32();
-    DE_REQUIRE(view.epoch >= 0, "wire: negative chunk epoch");
-  }
-  if (header.version >= 5) {
-    view.stream = r.i32();
-    DE_REQUIRE(view.stream >= 0, "wire: negative chunk stream");
-  }
+  view.from_node = r.i32();
+  view.chunk_id = r.u32();
+  DE_REQUIRE(view.from_node >= kNilNode, "wire: malformed chunk sender");
+  DE_REQUIRE(view.chunk_id == 0 || view.from_node != kNilNode,
+             "wire: tracked chunk without a sender");
+  view.epoch = r.i32();
+  DE_REQUIRE(view.epoch >= 0, "wire: negative chunk epoch");
+  view.stream = r.i32();
+  DE_REQUIRE(view.stream >= 0, "wire: negative chunk stream");
   view.h = r.i32();
   view.w = r.i32();
   view.c = r.i32();
@@ -247,7 +223,7 @@ void copy_rows_to(const ChunkView& view, int src_begin, int src_end,
 
 HaloRequestMsg decode_halo_request(std::span<const std::uint8_t> frame) {
   core::ByteReader r(frame);
-  DE_REQUIRE(read_header(r).type == MsgType::kHaloRequest,
+  DE_REQUIRE(read_header(r) == MsgType::kHaloRequest,
              "wire: frame is not a halo request");
   HaloRequestMsg msg;
   msg.seq = r.i32();
@@ -264,7 +240,7 @@ HaloRequestMsg decode_halo_request(std::span<const std::uint8_t> frame) {
 
 AckMsg decode_ack(std::span<const std::uint8_t> frame) {
   core::ByteReader r(frame);
-  DE_REQUIRE(read_header(r).type == MsgType::kAck,
+  DE_REQUIRE(read_header(r) == MsgType::kAck,
              "wire: frame is not an ack");
   AckMsg msg;
   msg.from_node = r.i32();
@@ -294,15 +270,14 @@ Payload encode_telemetry(const TelemetryMsg& msg) {
 
 TelemetryMsg decode_telemetry(std::span<const std::uint8_t> frame) {
   core::ByteReader r(frame);
-  const Header header = read_header(r);
-  DE_REQUIRE(header.type == MsgType::kTelemetry,
+  DE_REQUIRE(read_header(r) == MsgType::kTelemetry,
              "wire: frame is not a telemetry report");
   TelemetryMsg msg;
   msg.from_node = r.i32();
   msg.window_s = r.f32();
   msg.compute_ms = r.f32();
   msg.images = r.i32();
-  if (header.version >= 4) msg.steady_now_us = r.i64();
+  msg.steady_now_us = r.i64();
   const std::int32_t n_links = r.i32();
   // NaN fails the >= 0 comparisons on its own; infinities need the
   // explicit check — an Inf rate would poison every EWMA it touches.
@@ -329,7 +304,7 @@ TelemetryMsg decode_telemetry(std::span<const std::uint8_t> frame) {
 }
 
 Payload encode_reconfigure(const ReconfigureMsg& msg) {
-  DE_REQUIRE(msg.epoch >= 1 && msg.from_seq >= 0 && msg.n_devices >= 1,
+  DE_REQUIRE(msg.epoch >= 0 && msg.from_seq >= 0 && msg.n_devices >= 1,
              "wire: malformed reconfigure message");
   DE_REQUIRE(msg.stream >= 0, "wire: negative reconfigure stream");
   DE_REQUIRE(msg.model_id >= 0, "wire: negative reconfigure model id");
@@ -358,24 +333,21 @@ Payload encode_reconfigure(const ReconfigureMsg& msg) {
 
 ReconfigureMsg decode_reconfigure(std::span<const std::uint8_t> frame) {
   core::ByteReader r(frame);
-  const Header header = read_header(r);
-  DE_REQUIRE(header.type == MsgType::kReconfigure,
+  DE_REQUIRE(read_header(r) == MsgType::kReconfigure,
              "wire: frame is not a reconfigure");
   ReconfigureMsg msg;
   msg.from_node = r.i32();
   msg.chunk_id = r.u32();
   msg.epoch = r.i32();
   msg.from_seq = r.i32();
-  if (header.version >= 5) {
-    msg.stream = r.i32();
-    msg.model_id = r.i32();
-  }
+  msg.stream = r.i32();
+  msg.model_id = r.i32();
   msg.n_devices = r.i32();
   const std::int32_t n_volumes = r.i32();
   DE_REQUIRE(msg.from_node >= kNilNode, "wire: malformed reconfigure sender");
   DE_REQUIRE(msg.chunk_id == 0 || msg.from_node != kNilNode,
              "wire: tracked reconfigure without a sender");
-  DE_REQUIRE(msg.epoch >= 1 && msg.from_seq >= 0, "wire: malformed epoch");
+  DE_REQUIRE(msg.epoch >= 0 && msg.from_seq >= 0, "wire: malformed epoch");
   DE_REQUIRE(msg.stream >= 0, "wire: negative reconfigure stream");
   DE_REQUIRE(msg.model_id >= 0, "wire: negative reconfigure model id");
   DE_REQUIRE(msg.n_devices >= 1 && msg.n_devices <= 1 << 16,
@@ -421,7 +393,7 @@ Payload encode_stream_hello(const StreamHelloMsg& msg) {
 
 StreamHelloMsg decode_stream_hello(std::span<const std::uint8_t> frame) {
   core::ByteReader r(frame);
-  DE_REQUIRE(read_header(r).type == MsgType::kStreamHello,
+  DE_REQUIRE(read_header(r) == MsgType::kStreamHello,
              "wire: frame is not a stream hello");
   StreamHelloMsg msg;
   msg.listen_port = r.u32();
@@ -447,7 +419,7 @@ Payload encode_stream_accept(const StreamAcceptMsg& msg) {
 
 StreamAcceptMsg decode_stream_accept(std::span<const std::uint8_t> frame) {
   core::ByteReader r(frame);
-  DE_REQUIRE(read_header(r).type == MsgType::kStreamAccept,
+  DE_REQUIRE(read_header(r) == MsgType::kStreamAccept,
              "wire: frame is not a stream accept");
   StreamAcceptMsg msg;
   msg.stream = r.i32();
@@ -470,7 +442,7 @@ Payload encode_stream_reject(const StreamRejectMsg& msg) {
 
 StreamRejectMsg decode_stream_reject(std::span<const std::uint8_t> frame) {
   core::ByteReader r(frame);
-  DE_REQUIRE(read_header(r).type == MsgType::kStreamReject,
+  DE_REQUIRE(read_header(r) == MsgType::kStreamReject,
              "wire: frame is not a stream reject");
   StreamRejectMsg msg;
   msg.reason = r.i32();
@@ -491,7 +463,7 @@ Payload encode_stream_close(const StreamCloseMsg& msg) {
 
 StreamCloseMsg decode_stream_close(std::span<const std::uint8_t> frame) {
   core::ByteReader r(frame);
-  DE_REQUIRE(read_header(r).type == MsgType::kStreamClose,
+  DE_REQUIRE(read_header(r) == MsgType::kStreamClose,
              "wire: frame is not a stream close");
   StreamCloseMsg msg;
   msg.stream = r.i32();
@@ -515,7 +487,7 @@ Payload encode_dispatch(const DispatchMsg& msg) {
 
 DispatchMsg decode_dispatch(std::span<const std::uint8_t> frame) {
   core::ByteReader r(frame);
-  DE_REQUIRE(read_header(r).type == MsgType::kDispatch,
+  DE_REQUIRE(read_header(r) == MsgType::kDispatch,
              "wire: frame is not a dispatch");
   DispatchMsg msg;
   msg.from_node = r.i32();
@@ -546,7 +518,7 @@ Payload encode_heartbeat(const HeartbeatMsg& msg) {
 
 HeartbeatMsg decode_heartbeat(std::span<const std::uint8_t> frame) {
   core::ByteReader r(frame);
-  DE_REQUIRE(read_header(r).type == MsgType::kHeartbeat,
+  DE_REQUIRE(read_header(r) == MsgType::kHeartbeat,
              "wire: frame is not a heartbeat");
   HeartbeatMsg msg;
   msg.from_node = r.i32();
@@ -585,7 +557,7 @@ Payload encode_membership(const MembershipMsg& msg) {
 
 MembershipMsg decode_membership(std::span<const std::uint8_t> frame) {
   core::ByteReader r(frame);
-  DE_REQUIRE(read_header(r).type == MsgType::kMembership,
+  DE_REQUIRE(read_header(r) == MsgType::kMembership,
              "wire: frame is not a membership change");
   MembershipMsg msg;
   msg.from_node = r.i32();
@@ -643,7 +615,7 @@ Payload encode_lane_evict(const LaneEvictMsg& msg) {
 
 LaneEvictMsg decode_lane_evict(std::span<const std::uint8_t> frame) {
   core::ByteReader r(frame);
-  DE_REQUIRE(read_header(r).type == MsgType::kLaneEvict,
+  DE_REQUIRE(read_header(r) == MsgType::kLaneEvict,
              "wire: frame is not a lane evict");
   LaneEvictMsg msg;
   msg.from_node = r.i32();
@@ -661,7 +633,7 @@ LaneEvictMsg decode_lane_evict(std::span<const std::uint8_t> frame) {
 
 NackMsg decode_nack(std::span<const std::uint8_t> frame) {
   core::ByteReader r(frame);
-  DE_REQUIRE(read_header(r).type == MsgType::kNack,
+  DE_REQUIRE(read_header(r) == MsgType::kNack,
              "wire: frame is not a nack");
   NackMsg msg;
   msg.from_node = r.i32();

@@ -3,8 +3,8 @@
 // Every payload starts with an 8-byte header:
 //
 //   u32 magic   = 0x44454447  ("DEDG")
-//   u16 version = 1..6 (encoders emit kWireVersion = 6; decoders accept
-//                 all six)
+//   u16 version = kWireVersion (6). Every node is built from one tree, so
+//                 there is one version: decoders reject any other.
 //   u16 type    (MsgType)
 //
 // followed by the type-specific body, all little-endian:
@@ -13,58 +13,56 @@
 //     i32 seq          image sequence number within a stream
 //     i32 volume       destination layer-volume index
 //     i32 row_offset   absolute first row within that volume's input/output
-//     [v2] i32 from_node   sending node (kNilNode when untracked)
-//     [v2] u32 chunk_id    per-link id for ack/dedup (0 = untracked)
-//     [v3] i32 epoch       strategy epoch the chunk's image belongs to
-//     [v5] i32 stream      serving stream (tenant) the image belongs to
-//                          (0 in v1-v4 frames and single-stream runs)
+//     i32 from_node    sending node (kNilNode when untracked)
+//     u32 chunk_id     per-link id for ack/dedup (0 = untracked)
+//     i32 epoch        strategy epoch the chunk's image belongs to
+//     i32 stream       serving stream (tenant) the image belongs to
 //     i32 h, i32 w, i32 c
 //     f32 * (h*w*c)    row-major HWC floats as raw IEEE-754 bit patterns
 //   kHaloRequest:
 //     i32 seq, i32 volume, i32 begin, i32 end, i32 from_node
 //   kShutdown:
 //     (empty body)
-//   kAck (v2):
+//   kAck:
 //     i32 from_node (the acker), u32 chunk_id
-//   kNack (v2):
+//   kNack:
 //     i32 from_node (the complainer), i32 seq, i32 volume
-//   kTelemetry (v3):
+//   kTelemetry:
 //     i32 from_node, f32 window_s, f32 compute_ms, i32 images,
-//     [v4] i64 steady_now_us   sender's node-local steady clock at publish
-//                              (clock-offset alignment for trace merging;
-//                              0 in v3 frames)
+//     i64 steady_now_us   sender's node-local steady clock at publish
+//                         (clock-offset alignment for trace merging)
 //     i32 n_links, then per link: i32 peer, f32 mbps, f32 mbytes
-//   kReconfigure (v3):
+//   kReconfigure:
 //     i32 from_node (kNilNode when untracked), u32 chunk_id (0 = untracked),
-//     i32 epoch, i32 from_seq, [v5] i32 stream, [v5] i32 model_id,
+//     i32 epoch, i32 from_seq, i32 stream, i32 model_id,
 //     i32 n_devices, i32 n_volumes,
 //     then per volume: i32 first, i32 last, i32 * (n_devices+1) cuts
-//   kStreamHello (v5):
+//   kStreamHello:
 //     u32 listen_port (the client's dial-back port), i32 model_id,
 //     i32 window (requested in-flight window; 0 = server default)
-//   kStreamAccept (v5):
+//   kStreamAccept:
 //     i32 stream (door-assigned id), i32 window (granted)
-//   kStreamReject (v5):
+//   kStreamReject:
 //     i32 reason (StreamRejectMsg::Reason)
-//   kStreamClose (v5):
+//   kStreamClose:
 //     i32 stream
-//   kDispatch (v5):
+//   kDispatch:
 //     i32 from_node (kNilNode when untracked), u32 chunk_id (0 = untracked),
 //     i32 stream, i32 seq (global fleet sequence), i32 epoch
-//   kHeartbeat (v6):
+//   kHeartbeat:
 //     i32 from_node, u32 hb_seq (per-sender monotone), i64 steady_now_us
-//   kMembership (v6):
+//   kMembership:
 //     i32 from_node (kNilNode when untracked), u32 chunk_id (0 = untracked),
 //     i32 cancel_below (images below this seq are void), i32 resume_seq,
 //     i32 n_died then i32 * n_died dead node ids,
 //     i32 n_joined then per joiner: i32 node, u32 id_base
-//   kLaneEvict (v6):
+//   kLaneEvict:
 //     i32 from_node (kNilNode when untracked), u32 chunk_id (0 = untracked),
 //     i32 stream, i32 below_seq
 //
 // decode_* throws de::Error on malformed input (bad magic/version/type,
 // truncated body, trailing garbage, negative or overflowing extents); a
-// v3 frame accepted by decode re-encodes to the identical byte string, and
+// frame accepted by decode re-encodes to the identical byte string, and
 // chunk/telemetry/reconfigure decoding never allocates before the claimed
 // counts are proven consistent with the frame length.
 #pragma once
@@ -89,23 +87,23 @@ enum class MsgType : std::uint16_t {
   kHaloRows = 3,     ///< provider -> provider: halo rows between volumes
   kGather = 4,       ///< provider -> requester: final-volume output rows
   kShutdown = 5,     ///< requester -> provider: end of stream
-  kAck = 6,          ///< receiver -> sender: chunk `chunk_id` arrived (v2)
-  kNack = 7,         ///< receiver -> peers: still missing (seq, volume) (v2)
-  kTelemetry = 8,    ///< node -> controller: link rates + compute ms (v3)
-  kReconfigure = 9,  ///< requester -> provider: new strategy epoch (v3)
-  kStreamHello = 10,   ///< client -> door: open a serving stream (v5)
-  kStreamAccept = 11,  ///< door -> client: stream admitted (v5)
-  kStreamReject = 12,  ///< door -> client: stream refused (v5)
-  kStreamClose = 13,   ///< either way: end of a serving stream (v5)
-  kDispatch = 14,      ///< front end -> provider: global seq ownership (v5)
-  kHeartbeat = 15,     ///< node -> controller: liveness lease renewal (v6)
-  kMembership = 16,    ///< requester -> provider: fleet changed (v6)
-  kLaneEvict = 17,     ///< requester -> provider: drop a stream's lane (v6)
+  kAck = 6,          ///< receiver -> sender: chunk `chunk_id` arrived
+  kNack = 7,         ///< receiver -> peers: still missing (seq, volume)
+  kTelemetry = 8,    ///< node -> controller: link rates + compute ms
+  kReconfigure = 9,  ///< requester -> provider: new strategy epoch
+  kStreamHello = 10,   ///< client -> door: open a serving stream
+  kStreamAccept = 11,  ///< door -> client: stream admitted
+  kStreamReject = 12,  ///< door -> client: stream refused
+  kStreamClose = 13,   ///< either way: end of a serving stream
+  kDispatch = 14,      ///< front end -> provider: global seq ownership
+  kHeartbeat = 15,     ///< node -> controller: liveness lease renewal
+  kMembership = 16,    ///< requester -> provider: fleet changed
+  kLaneEvict = 17,     ///< requester -> provider: drop a stream's lane
 };
 
 /// A horizontal slice of some volume's tensor, tagged with the image it
 /// belongs to. Used by kScatter, kHaloRows, and kGather. `from_node` and
-/// `chunk_id` are the v2 reliability handles: a chunk with chunk_id > 0 asks
+/// `chunk_id` are the reliability handles: a chunk with chunk_id > 0 asks
 /// the receiver to ack it back to {from_node, kCtrlMailbox} and to drop
 /// repeats of the same (from_node, chunk_id). Ids count up gaplessly per
 /// sender->receiver link, so a receiver's dedup watermark keeps advancing.
@@ -116,8 +114,8 @@ struct ChunkMsg {
   std::int32_t row_offset = 0;
   NodeId from_node = kNilNode;
   std::uint32_t chunk_id = 0;
-  std::int32_t epoch = 0;   ///< strategy epoch of the chunk's image (v3)
-  std::int32_t stream = 0;  ///< serving stream (tenant) of the image (v5)
+  std::int32_t epoch = 0;   ///< strategy epoch of the chunk's image
+  std::int32_t stream = 0;  ///< serving stream (tenant) of the image
   cnn::Tensor rows;
 };
 
@@ -164,11 +162,10 @@ struct TelemetryMsg {
   double window_s = 0;     ///< wall seconds the report covers
   double compute_ms = 0;   ///< mean per-image compute in the window (0 = idle)
   std::int32_t images = 0; ///< images finished in the window
-  /// Sender's node-local steady clock (micros) at publish time (v4). Paired
+  /// Sender's node-local steady clock (micros) at publish time. Paired
   /// with the receiver's local clock at ingest, it bounds the inter-node
   /// clock offset to the one-way delivery delay — the raw material for
-  /// merging per-node traces onto one timeline (obs::ClockSyncBook). 0 in
-  /// frames from v3 encoders.
+  /// merging per-node traces onto one timeline (obs::ClockSyncBook).
   std::int64_t steady_now_us = 0;
   std::vector<LinkRateSample> links;
 };
@@ -182,10 +179,10 @@ struct TelemetryMsg {
 struct ReconfigureMsg {
   NodeId from_node = kNilNode;   ///< sender (kNilNode when untracked)
   std::uint32_t chunk_id = 0;    ///< reliability handle (0 = untracked)
-  std::int32_t epoch = 0;        ///< new epoch id (monotonic, >= 1)
+  std::int32_t epoch = 0;        ///< new epoch id (monotonic, >= 0)
   std::int32_t from_seq = 0;     ///< first image served under the new epoch
-  std::int32_t stream = 0;       ///< epoch lane the swap applies to (v5)
-  std::int32_t model_id = 0;     ///< tenant model the lane serves (v5)
+  std::int32_t stream = 0;       ///< epoch lane the swap applies to
+  std::int32_t model_id = 0;     ///< tenant model the lane serves
   std::int32_t n_devices = 0;
   std::vector<cnn::LayerVolume> volumes;
   std::vector<std::vector<int>> cuts;  ///< one (n_devices+1) vector per volume

@@ -6,13 +6,13 @@
 // redistribution -> gather) with genuine concurrency, and its gathered
 // output must equal the single-device reference forward bit-for-bit — the
 // system-level proof of the Vertical-Splitting Law and of the transfer
-// planning logic. The same worker loops run over shared memory
-// (run_distributed) or a loopback TCP cluster (run_distributed_tcp); both
-// push every chunk through the binary wire format. With RunOptions::faults
-// the fabric is degraded by a FaultInjectingTransport and the wire-v2
-// reliability protocol must still reproduce the reference bit-for-bit —
-// the adversarial-scheduling proof. Timing remains the simulator's job
-// (DESIGN.md).
+// planning logic. A finite run is a one-image runtime::serve_stream, over
+// shared memory (run_distributed) or a loopback TCP cluster
+// (run_distributed_tcp); both push every chunk through the binary wire
+// format. With RunOptions::faults the fabric is degraded by a
+// FaultInjectingTransport and the reliability protocol must still
+// reproduce the reference bit-for-bit — the adversarial-scheduling proof.
+// Timing remains the simulator's job (DESIGN.md).
 #pragma once
 
 #include <cstdint>
@@ -38,7 +38,7 @@ struct RunOptions {
   /// gathered output is engine-independent; it defaults on so every worker
   /// uses the packed kernels + shared-pool row bands.
   cnn::ExecContext exec = cnn::ExecContext::fast_shared();
-  /// Chunk path: halo-first zero-copy (default) or the PR-3 serial copying
+  /// Chunk path: halo-first zero-copy (default) or the serial copying
   /// baseline. Both are bit-exact; the baseline exists for in-run A/B
   /// benches and the conformance tests.
   DataPlaneMode data_plane = DataPlaneMode::kOverlapZeroCopy;

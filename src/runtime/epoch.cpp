@@ -1,12 +1,14 @@
 #include "runtime/epoch.hpp"
 
+#include <limits>
 #include <utility>
 
 #include "common/require.hpp"
 
 namespace de::runtime {
 
-EpochTable::EpochTable(EpochPlan initial) {
+EpochTable::EpochTable(EpochPlan initial)
+    : retired_below_(std::numeric_limits<int>::min()) {
   DE_REQUIRE(initial.from_seq >= 0,
              "the initial epoch must start at a valid image");
   epochs_.push_back(std::make_unique<EpochPlan>(std::move(initial)));
@@ -39,7 +41,7 @@ bool EpochTable::knows(int epoch) const {
 }
 
 void EpochTable::add(EpochPlan next) {
-  if (next.epoch < oldest()) return;  // retired: a stale retransmission
+  if (next.epoch < retired_below_) return;  // a stale retransmission
   for (const auto& e : epochs_) {
     if (e->epoch != next.epoch) continue;
     // A retransmitted announcement repeats its content exactly; the same
@@ -65,6 +67,7 @@ void EpochTable::add(EpochPlan next) {
 void EpochTable::retire(int watermark) {
   while (epochs_.size() >= 2 && epochs_[1]->from_seq <= watermark) {
     epochs_.pop_front();
+    retired_below_ = oldest();
   }
 }
 

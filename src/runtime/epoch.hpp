@@ -13,6 +13,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/units.hpp"
 #include "rpc/wire.hpp"
 #include "runtime/transfer_plan.hpp"
 
@@ -21,7 +22,7 @@ namespace de::runtime {
 /// One serving regime: every image with `from_seq <= seq < next.from_seq`
 /// executes `strategy` under `plan`.
 struct EpochPlan {
-  int epoch = 0;     ///< monotonic id, 0 for the strategy serve started with
+  int epoch = 0;     ///< monotonic id, allocated globally across lanes
   int from_seq = 0;  ///< first image this epoch serves
   sim::RawStrategy strategy;
   TransferPlan plan;
@@ -32,40 +33,42 @@ struct EpochPlan {
 /// retransmitted after its successor already landed). from_seq is
 /// non-decreasing in id order; lookups are by image seq (which epoch
 /// serves it) or by id (validating a chunk's tag). Entries are heap-owned,
-/// so references returned by at()/latest_plan() stay valid across add() —
-/// the worker loops hold them across receives that may register new
-/// epochs. retire() prunes fully superseded history so unbounded streams
+/// so references returned by at() stay valid across add() — the worker
+/// loops hold them across receives that may register new epochs. retire()
+/// prunes fully superseded history so unbounded streams
 /// do not accrete plans (references to retired entries die with them;
 /// callers prune only at image boundaries where none are held).
 class EpochTable {
  public:
-  /// Starts with `initial` as the oldest known epoch. from_seq is 0 for a
-  /// stream served from its first image; a multi-tenant lane opened
+  /// Starts with `initial` as the oldest known epoch. A lane opened
   /// mid-stream starts at the global fleet seq its first epoch covers —
   /// at() on anything older throws (no epoch ever served those images
-  /// here).
+  /// here). Under faults a provider may learn a lane from a later epoch
+  /// first; the lane's earlier epochs still slot in ahead of it when their
+  /// announcements land.
   explicit EpochTable(EpochPlan initial);
 
   /// The epoch serving image `seq` under the epochs known so far. A later
   /// reconfigure may still re-map `seq`; callers watching the data mailbox
-  /// re-check after every registration (see provider_loop).
+  /// re-check after every registration (see provider_loop_multi).
   const EpochPlan& at(int seq) const;
 
   /// The epoch following the one serving `seq`, or nullptr if none is known
-  /// yet (used by inactive devices to jump to their next active image).
+  /// yet.
   const EpochPlan* after(int seq) const;
 
   /// Latest registered epoch id.
   int latest() const { return epochs_.back()->epoch; }
-  const EpochPlan& latest_plan() const { return *epochs_.back(); }
-  /// Oldest retained epoch id (everything older was retired).
+  /// Oldest retained epoch id.
   int oldest() const { return epochs_.front()->epoch; }
+  /// Ids below this were retired (announcements of them are stale).
+  int retired_below() const { return retired_below_; }
 
   bool knows(int epoch) const;
 
   /// Registers an announced epoch at its id-ordered position. Idempotent
-  /// for an already-known id and a no-op for ids older than the retired
-  /// horizon (both are retransmissions); throws if the announcement
+  /// for an already-known id and a no-op for ids below retired_below()
+  /// (both are retransmissions); throws if the announcement
   /// conflicts with known history (same id, different cutover; or a
   /// from_seq that breaks monotonicity).
   void add(EpochPlan next);
@@ -79,6 +82,7 @@ class EpochTable {
 
  private:
   std::deque<std::unique_ptr<EpochPlan>> epochs_;
+  int retired_below_;
 };
 
 /// Lowers a wire reconfigure into the epoch it announces (plan built against
@@ -90,5 +94,18 @@ EpochPlan epoch_from_reconfigure(const rpc::ReconfigureMsg& msg,
 /// Encodes `next` as a reconfigure frame (reliability handles zeroed; the
 /// sender stamps them when tracking).
 rpc::ReconfigureMsg reconfigure_from_epoch(const EpochPlan& next);
+
+/// One live reconfiguration a serving stream performed (a swap epoch pushed
+/// on its lane after the one it opened with).
+struct ReconfigEvent {
+  int epoch = 0;
+  int from_image = 0;   ///< stream-local index of the first image it served
+  Seconds at_s = 0;     ///< stream time the announcement went out
+  Ms predicted_serving_ms = 0;  ///< controller swaps: old strategy, new view
+  Ms predicted_next_ms = 0;     ///< controller swaps: new strategy, new view
+  int deaths = 0;       ///< devices this swap removed (lease lapsed)
+  int joins = 0;        ///< devices this swap adopted (revival/joiner)
+  int cancelled = 0;    ///< in-flight images voided and re-dispatched
+};
 
 }  // namespace de::runtime

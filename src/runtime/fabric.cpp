@@ -2,6 +2,7 @@
 
 #include <map>
 #include <string>
+#include <utility>
 
 #include "common/require.hpp"
 #include "obs/trace.hpp"
@@ -92,55 +93,19 @@ ClusterFabric make_fabric(int n_devices, bool use_tcp,
   return fabric;
 }
 
-namespace {
-
-/// The spawners' escalation policy: tear down the whole fabric, not just
-/// the requester — a downed requester transport drops the end-of-stream
-/// frames, which would leave the other providers blocked in receive() and
-/// deadlock the join. shutdown() is idempotent, so racing escalations from
-/// several threads are fine.
-Supervisor::Options provider_supervision(ClusterFabric& fabric,
-                                         int max_restarts) {
-  Supervisor::Options options;
-  options.max_restarts = max_restarts;
-  options.escalate = [&fabric] { fabric.shutdown_all(); };
-  return options;
-}
-
-}  // namespace
-
-Supervisor spawn_providers(
-    ClusterFabric& fabric, const cnn::CnnModel& model,
-    const sim::RawStrategy& strategy,
-    const std::vector<cnn::ConvWeights>& weights, const TransferPlan& plan,
-    int n_images, DataPlaneStats& stats,
-    const ReliabilityOptions& reliability, const cnn::ExecContext& exec,
-    DataPlaneMode mode, int telemetry_every, int heartbeat_ms,
-    int max_restarts) {
-  Supervisor supervisor(provider_supervision(fabric, max_restarts));
-  for (int i = 0; i < plan.n_devices; ++i) {
-    supervisor.spawn(
-        "provider-" + std::to_string(i), i,
-        [&fabric, &model, &strategy, &weights, &plan, n_images, &stats,
-         reliability, exec, mode, telemetry_every, heartbeat_ms, i] {
-          const TelemetryHooks hooks{
-              fabric.sampler(i), telemetry_every,
-              fabric.node_origin_us[static_cast<std::size_t>(i)],
-              heartbeat_ms, plan.requester_node()};
-          provider_loop(*fabric.endpoints[static_cast<std::size_t>(i)], i,
-                        model, strategy, weights, plan, n_images, stats,
-                        reliability, exec, mode, hooks);
-        });
-  }
-  return supervisor;
-}
-
 Supervisor spawn_providers_multi(
     ClusterFabric& fabric, int n_devices, std::span<const TenantModel> fleet,
     DataPlaneStats& stats, const ReliabilityOptions& reliability,
     const cnn::ExecContext& exec, DataPlaneMode mode, int telemetry_every,
     int heartbeat_ms, int max_restarts) {
-  Supervisor supervisor(provider_supervision(fabric, max_restarts));
+  // Escalation tears down the whole fabric, not just the requester — a
+  // downed requester transport drops the end-of-stream frames, which would
+  // leave the other providers blocked in receive() and deadlock the join.
+  // shutdown() is idempotent, so racing escalations are fine.
+  Supervisor::Options supervision;
+  supervision.max_restarts = max_restarts;
+  supervision.escalate = [&fabric] { fabric.shutdown_all(); };
+  Supervisor supervisor(std::move(supervision));
   for (int i = 0; i < n_devices; ++i) {
     supervisor.spawn(
         "provider-" + std::to_string(i), i,

@@ -2,7 +2,7 @@
 // sender-driven retransmission with receiver-side dedup, turning the
 // transport's at-most-once sends into effectively-once chunk delivery.
 //
-// Protocol: every tracked chunk carries a per-sender `chunk_id` (wire v2).
+// Protocol: every tracked chunk carries a per-sender `chunk_id`.
 // The receiver acks each tracked chunk back to {sender, kCtrlMailbox} and
 // drops repeats of the same (sender, chunk_id). Each node runs one
 // Retransmitter thread that drains its control mailbox: acks retire outbox

@@ -37,7 +37,7 @@ inline constexpr const char* kMetricStreamWallS = "stream.wall_s";
 inline constexpr const char* kMetricStreamIps = "stream.measured_ips";
 inline constexpr const char* kMetricStreamReconfigs = "stream.reconfigurations";
 inline constexpr const char* kMetricGatherLatencyUs = "stream.gather_latency_us";
-// Ops-plane extras (serve_stream with an admin endpoint attached).
+// Submit -> gather-complete latency per image (the front door's pump).
 inline constexpr const char* kMetricImageLatencyUs = "stream.image_latency_us";
 // Queue-depth gauge families (ROADMAP item 3 baselines). These are label
 // *prefixes* — series are named e.g. "rpc.mailbox_depth{name=data}" and

@@ -1,23 +1,25 @@
-// Pipelined serving (paper §V-A streaming, but on the real data plane):
-// the requester keeps up to K images in flight across the transport —
-// scattering image seq+K while seq is still being computed — and reports the
-// measured wall-clock images/second next to the event simulator's
-// prediction for the same strategy. Providers run a shutdown-terminated
-// stream loop, so image count is the requester's business alone.
+// Pipelined single-stream serving (paper §V-A streaming, on the real data
+// plane): the requester keeps up to K images in flight across the
+// transport — scattering image seq+K while seq is still being computed —
+// and reports the measured wall-clock images/second next to the event
+// simulator's prediction for the same strategy.
+//
+// serve_stream is a thin client of the one serving path: it builds the
+// fabric and the provider fleet (runtime::spawn_providers_multi), opens
+// one serve::StreamServer stream with window = K, then submits and pops.
+// Everything a stream can do — live strategy swaps, an adaptive
+// controller, membership recovery, the ops plane, the clock-sync book a
+// traced run rebases with — is the front door's; what stays here is the
+// client side: scripted swaps registered right before their image,
+// the chaos schedule keyed on the delivered count, outputs in pop order,
+// and the simulator's prediction.
 //
 // With ServeOptions::faults the stream runs over a deterministically
-// degraded fabric (drops/duplicates/delays/partitions) and the wire-v2
-// reliability protocol keeps it bit-exact; per-image retry/timeout stats
-// land in ServeResult::per_image, and a stream that genuinely cannot make
-// progress (e.g. a link severed past the retransmit budget) fails loudly
-// within a bounded time instead of hanging.
-//
-// The stream's strategy is only its *initial* strategy: scripted swaps
-// (ServeOptions::swaps, tests) and an adaptive controller
-// (ServeOptions::controller, closing the telemetry loop) both cut the
-// stream over to new strategies mid-flight via epoch announcements — no
-// pipeline drain, images in flight finish under the epoch that scattered
-// them, and outputs stay bit-exact throughout (DESIGN.md §control-plane).
+// degraded fabric (drops/duplicates/delays/partitions) and the reliability
+// protocol keeps it bit-exact; per-image retry/timeout stats land in
+// ServeResult::per_image, and a stream that genuinely cannot make progress
+// (e.g. a link severed past the retransmit budget) fails loudly within a
+// bounded time instead of hanging.
 #pragma once
 
 #include <cstdint>
@@ -42,8 +44,9 @@ class AdminServer;
 
 namespace de::runtime {
 
-/// A pre-scripted strategy swap: cut over when image `at_image` is about to
-/// be scattered (deterministic epoch boundaries for tests/benches).
+/// A pre-scripted strategy swap: image `at_image` (submission index) is the
+/// first one served by `strategy` (deterministic epoch boundaries for
+/// tests/benches).
 struct ScriptedSwap {
   int at_image = 0;
   sim::RawStrategy strategy;
@@ -77,7 +80,7 @@ struct ServeOptions {
   /// fast default is what makes measured IPS track what the hardware allows).
   cnn::ExecContext exec = cnn::ExecContext::fast_shared();
 
-  /// Chunk path: halo-first zero-copy (default) or the PR-3 serial copying
+  /// Chunk path: halo-first zero-copy (default) or the serial copying
   /// baseline — bit-exact either way; bench/runtime_stream A/Bs the two in
   /// one run.
   DataPlaneMode data_plane = DataPlaneMode::kOverlapZeroCopy;
@@ -95,12 +98,14 @@ struct ServeOptions {
   const rpc::ShapingSpec* shaping = nullptr;
 
   /// Deterministic mid-stream strategy swaps, sorted by at_image (tests
-  /// and benches; applied by the requester at exact image boundaries).
+  /// and benches; each lands exactly on its image).
   std::vector<ScriptedSwap> swaps;
 
-  /// Adaptive controller (not owned; may be null). serve_stream starts it
-  /// on the requester's transport, polls it between images, and turns its
-  /// decisions into epochs. Implies telemetry publishing (see below).
+  /// Adaptive controller (not owned; may be null, must not be started
+  /// yet). serve_stream arms it (start_external) and attaches it to the
+  /// stream, whose front door feeds it the fleet's telemetry and heartbeats
+  /// and turns its decisions into epochs. Implies telemetry publishing (see
+  /// below).
   ctrl::Controller* controller = nullptr;
 
   /// Providers publish a kTelemetry frame every this many images
@@ -109,11 +114,11 @@ struct ServeOptions {
 
   /// Trace collection (not owned; may be null). When set, serve_stream
   /// snapshots the TraceRecorder into `trace->dump` at end of stream, fills
-  /// `trace->node_origin_us` from the fabric, and feeds every received
-  /// kTelemetry steady-clock sample into `trace->sync` — everything
-  /// obs::merge_capture needs for one cross-node timeline. The caller
-  /// enables/disables the recorder around the stream. Implies telemetry
-  /// publishing (defaults telemetry_every to 1 like a controller does).
+  /// `trace->node_origin_us` from the fabric, and copies the front door's
+  /// clock-sync samples into `trace->sync` — everything obs::merge_capture
+  /// needs for one cross-node timeline. The caller enables/disables the
+  /// recorder around the stream. Implies telemetry publishing (defaults
+  /// telemetry_every to 1 like a controller does).
   obs::TraceCapture* trace = nullptr;
 
   /// Providers publish a kHeartbeat lease renewal every this many ms
@@ -131,15 +136,11 @@ struct ServeOptions {
   /// controller with lease_ms > 0 to detect and recover from the deaths.
   std::vector<ChaosEvent> chaos;
 
-  /// Live ops plane (not owned; may be null). When set, serve_stream
+  /// Live ops plane (not owned; may be null). The stream's front door
   /// registers /metrics (Prometheus text format), /healthz, /membership,
   /// /streams, and /trace/dump on the endpoint for the stream's lifetime
-  /// (unrouted at teardown, before any handler-captured state dies), arms
-  /// the TraceRecorder in flight-recorder mode if it is not already
-  /// enabled (always-on rings; /trace/dump?s=N snapshots the last N
-  /// seconds without disturbing the stream), and samples queue-depth
-  /// gauges (rpc.mailbox_depth, reliable.outbox_depth) per delivery and
-  /// per scrape.
+  /// (unrouted at teardown), and arms the TraceRecorder in flight-recorder
+  /// mode (see serve::StreamServerOptions::admin).
   obs::AdminServer* admin = nullptr;
 
   /// Per-image end-to-end latency SLO for /streams (submit -> deliver,
@@ -147,26 +148,14 @@ struct ServeOptions {
   double slo_ms = 0;
 };
 
-/// One live reconfiguration the stream performed.
-struct ReconfigEvent {
-  int epoch = 0;
-  int from_image = 0;   ///< first image served by the new strategy
-  Seconds at_s = 0;     ///< stream time the announcement went out
-  Ms predicted_serving_ms = 0;  ///< controller swaps: old strategy, new view
-  Ms predicted_next_ms = 0;     ///< controller swaps: new strategy, new view
-  int deaths = 0;       ///< devices this swap removed (lease lapsed)
-  int joins = 0;        ///< devices this swap adopted (revival/joiner)
-  int cancelled = 0;    ///< in-flight images voided and re-dispatched
-};
-
 struct ServeResult {
   /// Canonical per-run metrics (runtime/runtime_metrics.hpp names), the
-  /// same names ClusterResult::metrics uses, plus the stream.* extras and
-  /// the gather-latency histogram. The scalar fields below are views into
-  /// this snapshot, kept for existing callers.
+  /// same names ClusterResult::metrics uses, plus the stream.* extras, the
+  /// latency histograms, and the front door's own series. The scalar
+  /// fields below are views into this snapshot, kept for existing callers.
   obs::MetricsSnapshot metrics;
   int images = 0;
-  Seconds wall_s = 0;        ///< first scatter -> last gather
+  Seconds wall_s = 0;        ///< first submit -> last pop
   double measured_ips = 0;
   double predicted_ips = 0;  ///< 0 when no simulator inputs were given
   std::int64_t messages_exchanged = 0;
@@ -192,9 +181,9 @@ struct ServeResult {
   std::vector<double> delivered_at_s;
   /// Stream time each chaos event was applied, in schedule order.
   std::vector<double> chaos_applied_at_s;
-  /// Per-image retry/timeout stats observed by the requester's gather.
+  /// Per-image retry/timeout stats observed by the door's gather.
   std::vector<ImageRetryStats> per_image;
-  std::vector<cnn::Tensor> outputs;  ///< filled iff keep_outputs
+  std::vector<cnn::Tensor> outputs;  ///< filled iff keep_outputs, input order
   /// Every live strategy swap the stream performed (scripted + adaptive).
   std::vector<ReconfigEvent> reconfigurations;
   /// Per-image critical-path breakdowns and per-device straggler scores,
@@ -205,7 +194,8 @@ struct ServeResult {
 };
 
 /// Streams `inputs` through the cluster with `options.inflight` images in
-/// flight. Every input must match the model's input extents.
+/// flight. Every input must match the model's input extents (a mismatched
+/// one is refused by the front door and fails the stream with de::Error).
 ServeResult serve_stream(const cnn::CnnModel& model,
                          const sim::RawStrategy& strategy,
                          const std::vector<cnn::ConvWeights>& weights,

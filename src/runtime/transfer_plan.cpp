@@ -111,16 +111,6 @@ PartSchedule plan_part_schedule(const TransferPlan& plan, int l, int i,
   return sched;
 }
 
-void validate_cluster_inputs(const cnn::CnnModel& model,
-                             const std::vector<cnn::ConvWeights>& weights,
-                             const cnn::Tensor& input) {
-  DE_REQUIRE(weights.size() == static_cast<std::size_t>(model.num_layers()),
-             "one weight entry per layer");
-  DE_REQUIRE(input.h == model.input_h() && input.w == model.input_w() &&
-                 input.c == model.input_c(),
-             "input extents mismatch");
-}
-
 TransferPlan build_transfer_plan(const cnn::CnnModel& model,
                                  const sim::RawStrategy& strategy,
                                  int n_devices) {

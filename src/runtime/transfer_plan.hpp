@@ -67,11 +67,6 @@ struct PartSchedule {
 PartSchedule plan_part_schedule(const TransferPlan& plan, int l, int i,
                                 int max_gather_bands = 4);
 
-/// Shared precondition checks of every cluster entry point: one weight
-/// entry per layer, input extents matching the model.
-void validate_cluster_inputs(const cnn::CnnModel& model,
-                             const std::vector<cnn::ConvWeights>& weights,
-                             const cnn::Tensor& input);
 
 /// Copies rows [src_begin, src_end) (absolute) from `src` (whose row 0 is
 /// absolute row `src_offset`) into `dst` (whose row 0 is `dst_offset`).

@@ -18,19 +18,17 @@ namespace {
 
 /// Receive outcome of one frame: a chunk, end-of-stream, skip (dropped
 /// control/malformed/duplicate frame — caller should keep receiving), an
-/// expired bounded wait (reliable mode only), an epoch announcement, a
-/// stream-dispatch announcement (multi-tenant providers only), a membership
-/// change, or a lane eviction (multi-tenant) — the requester/front door is
-/// the one sending all of the announcement kinds.
-enum class RxKind {
-  kChunk,
-  kStop,
-  kSkip,
-  kTimeout,
-  kReconfig,
-  kDispatch,
-  kMembership,
-  kLaneEvict,
+/// expired bounded wait (reliable mode only), or one of the front door's
+/// announcements (decoded for providers only).
+enum class RxKind { kChunk, kStop, kSkip, kTimeout, kAnnouncement };
+
+/// A decoded front-door announcement; `type` names the filled member.
+struct Announcement {
+  rpc::MsgType type = rpc::MsgType::kShutdown;
+  rpc::ReconfigureMsg reconfig;
+  rpc::DispatchMsg dispatch;
+  rpc::MembershipMsg membership;
+  rpc::LaneEvictMsg evict;
 };
 
 /// Receive-side state of one node, shared by the provider and gather loops.
@@ -63,10 +61,7 @@ bool ack_and_dedup(RxState& rx, rpc::NodeId from_node, std::uint32_t chunk_id) {
 }
 
 RxKind receive_frame(RxState& rx, RxChunk& out,
-                     rpc::ReconfigureMsg* reconfig = nullptr,
-                     rpc::DispatchMsg* dispatch = nullptr,
-                     rpc::MembershipMsg* membership = nullptr,
-                     rpc::LaneEvictMsg* lane_evict = nullptr) {
+                     Announcement* announcement = nullptr) {
   rpc::Frame payload;
   if (!rx.reliability.enabled) {
     auto received = rx.transport.receive(rpc::kDataMailbox);
@@ -86,33 +81,27 @@ RxKind receive_frame(RxState& rx, RxChunk& out,
   try {
     const auto type = rpc::peek_type(payload);
     if (type == rpc::MsgType::kShutdown) return RxKind::kStop;
-    if (type == rpc::MsgType::kReconfigure && reconfig != nullptr) {
-      *reconfig = rpc::decode_reconfigure(payload);
-      if (!ack_and_dedup(rx, reconfig->from_node, reconfig->chunk_id)) {
-        return RxKind::kSkip;  // retransmitted announcement
+    // Announcements are tracked like chunks: ack, then drop repeats.
+    const auto take = [&](auto& msg, auto decode) {
+      msg = decode(payload);
+      announcement->type = type;
+      return ack_and_dedup(rx, msg.from_node, msg.chunk_id)
+                 ? RxKind::kAnnouncement
+                 : RxKind::kSkip;
+    };
+    if (announcement != nullptr) {
+      switch (type) {
+        case rpc::MsgType::kReconfigure:
+          return take(announcement->reconfig, rpc::decode_reconfigure);
+        case rpc::MsgType::kDispatch:
+          return take(announcement->dispatch, rpc::decode_dispatch);
+        case rpc::MsgType::kMembership:
+          return take(announcement->membership, rpc::decode_membership);
+        case rpc::MsgType::kLaneEvict:
+          return take(announcement->evict, rpc::decode_lane_evict);
+        default:
+          break;
       }
-      return RxKind::kReconfig;
-    }
-    if (type == rpc::MsgType::kDispatch && dispatch != nullptr) {
-      *dispatch = rpc::decode_dispatch(payload);
-      if (!ack_and_dedup(rx, dispatch->from_node, dispatch->chunk_id)) {
-        return RxKind::kSkip;  // retransmitted announcement
-      }
-      return RxKind::kDispatch;
-    }
-    if (type == rpc::MsgType::kMembership && membership != nullptr) {
-      *membership = rpc::decode_membership(payload);
-      if (!ack_and_dedup(rx, membership->from_node, membership->chunk_id)) {
-        return RxKind::kSkip;  // retransmitted announcement
-      }
-      return RxKind::kMembership;
-    }
-    if (type == rpc::MsgType::kLaneEvict && lane_evict != nullptr) {
-      *lane_evict = rpc::decode_lane_evict(payload);
-      if (!ack_and_dedup(rx, lane_evict->from_node, lane_evict->chunk_id)) {
-        return RxKind::kSkip;  // retransmitted announcement
-      }
-      return RxKind::kLaneEvict;
     }
     if (!rpc::is_chunk_type(type)) {
       return RxKind::kSkip;  // halo requests (push-based plan), stray control
@@ -148,17 +137,6 @@ void broadcast_nack(rpc::Transport& transport, const TransferPlan& plan,
     transport.send(ctrl_addr(node), frame);  // refcount share per peer
   }
   stats.nacks.fetch_add(1, std::memory_order_relaxed);
-}
-
-/// After a finite reliable run: keep servicing acks for our last chunks
-/// until the outbox drains, the requester releases us (kShutdown), or the
-/// transport closes. Bounded either way — unreachable receivers exhaust the
-/// attempt budget and the entries are abandoned.
-void drain_outbox(RxState& rx, Retransmitter& rtx) {
-  RxChunk ignored;
-  while (!rtx.idle()) {
-    if (receive_frame(rx, ignored) == RxKind::kStop) return;
-  }
 }
 
 /// Periodic kHeartbeat publisher (lease renewal) of one provider. Runs on
@@ -240,7 +218,7 @@ bool chunk_fits(const rpc::ChunkView& view, const cnn::RowInterval& bounds,
 }
 
 /// Farthest ahead of the current image a stashed chunk may be. Legitimate
-/// pipelines are bounded by ServeOptions::inflight (single digits); anything
+/// pipelines are bounded by the streams' in-flight windows; anything
 /// beyond this is a mismatched or hostile peer trying to grow the stash
 /// without bound.
 constexpr int kMaxImagesAhead = 4096;
@@ -335,9 +313,7 @@ void post_rows(rpc::Transport& transport, const rpc::Address& to,
 }
 
 /// One tenant stream's serving state on a provider: the epoch lane, the
-/// model the lane runs, and the per-epoch halo-first schedules. The legacy
-/// single-tenant loop is the degenerate case of exactly one lane (stream 0)
-/// seeded at construction.
+/// model the lane runs, and the per-epoch halo-first schedules.
 struct StreamLane {
   int stream = 0;
   int model_id = 0;
@@ -352,22 +328,19 @@ struct StreamLane {
 /// chunk passes through admit(): chunks of unknown lanes/epochs park in
 /// `pending` until their announcement registers, known-epoch chunks are
 /// validated against the plan of *their* image's epoch and either consumed,
-/// stashed, or rejected loudly. Multi-tenant mode adds the global
-/// seq -> owning-stream dispatch records the front door broadcasts.
+/// stashed, or rejected loudly. The global seq -> owning-stream dispatch
+/// records the front door broadcasts live here too.
 struct ProviderState {
   int i;
-  int n_images;
-  bool multi = false;
-  /// Multi mode: the model registry reconfigure `model_id`s index into.
+  /// The model registry reconfigure `model_id`s index into.
   std::span<const TenantModel> fleet;
-  /// Epoch lanes keyed by stream id. Lanes are only ever added (a closed
-  /// stream's lane is a few plans, retire()d down to one; reclaiming the
-  /// map entries themselves needs a close protocol — ROADMAP item).
+  /// Epoch lanes keyed by stream id; a closed stream's lane is dropped by
+  /// sweep_evictions once the door's kLaneEvict watermark is passed.
   std::map<int, StreamLane> lanes;
-  /// Multi mode: which stream owns each global fleet seq (kDispatch).
+  /// Which stream owns each global fleet seq (kDispatch).
   std::map<int, rpc::DispatchMsg> owners;
   /// Chunks that arrived ahead of their (image, volume) slot. Seqs are
-  /// global in multi mode, so one map serves every lane.
+  /// global, so one map serves every lane.
   std::map<std::pair<int, int>, std::vector<RxChunk>> stash;
   /// Chunks of lanes/epochs not announced to us yet.
   std::vector<RxChunk> pending;
@@ -375,7 +348,7 @@ struct ProviderState {
   /// their late chunks are dropped silently, never a geometry failure — the
   /// requester re-dispatches the same inputs under fresh seqs.
   int cancel_floor = 0;
-  /// Deferred lane evictions (multi mode): stream -> drained-below seq.
+  /// Deferred lane evictions: stream -> drained-below seq.
   std::map<int, int> evictions;
 
   StreamLane* lane_for(int stream) {
@@ -415,7 +388,7 @@ struct ProviderState {
       return false;
     }
     StreamLane* lane = lane_for(v.stream);
-    if (lane != nullptr && v.epoch < lane->epochs.oldest()) {
+    if (lane != nullptr && v.epoch < lane->epochs.retired_below()) {
       // Tagged with retired history: every image that epoch served is long
       // gathered, so this is a stale duplicate that slipped dedup or a
       // hostile peer.
@@ -437,12 +410,10 @@ struct ProviderState {
     }
     const EpochPlan& owner = lane->epochs.at(v.seq);
     if (v.epoch != owner.epoch) fail_geometry(v);  // stale/foreign epoch tag
-    if (multi) {
-      // A dispatch we already hold must agree on the seq's owning stream.
-      auto it = owners.find(v.seq);
-      if (it != owners.end() && it->second.stream != v.stream) {
-        fail_geometry(v);
-      }
+    // A dispatch we already hold must agree on the seq's owning stream.
+    if (auto it = owners.find(v.seq);
+        it != owners.end() && it->second.stream != v.stream) {
+      fail_geometry(v);
     }
     // Chunks that can never be consumed would park in the stash for the
     // life of the stream; treat them as protocol violations.
@@ -451,7 +422,6 @@ struct ProviderState {
         owner.plan.expected[static_cast<std::size_t>(v.volume)]
                            [static_cast<std::size_t>(i)] == 0 ||
         v.seq < cur_seq || (v.seq == cur_seq && v.volume < cur_vol) ||
-        (n_images >= 0 && v.seq >= n_images) ||
         v.seq - cur_seq > kMaxImagesAhead;
     if (off_plan) fail_geometry(v);
     if (allow_consume && v.stream == cur_stream && v.seq == cur_seq &&
@@ -465,18 +435,15 @@ struct ProviderState {
   /// Registers an announced epoch on its stream's lane (creating the lane
   /// against fleet[model_id] on first sight of the stream) and re-admits
   /// parked chunks it unlocks. Returns true when the epoch serving the
-  /// image currently being processed changed — the caller must restart it
-  /// under the new plan. Announcements for *other* streams' lanes never
-  /// restart the current image.
+  /// image currently being processed changed — a front-door protocol
+  /// breach the caller reports. Announcements for *other* streams' lanes
+  /// never touch the current image.
   bool register_epoch(const rpc::ReconfigureMsg& msg, int cur_stream,
                       int cur_seq, int cur_vol) {
     obs::trace_instant(obs::Cat::kEpochRegister, msg.from_seq, -1, msg.epoch);
     StreamLane* lane = lane_for(msg.stream);
     bool remapped = false;
     if (lane == nullptr) {
-      DE_REQUIRE(multi,
-                 "reconfigure names an unknown stream on a single-tenant "
-                 "provider");
       DE_REQUIRE(static_cast<std::size_t>(msg.model_id) < fleet.size(),
                  "reconfigure names an unknown tenant model");
       const TenantModel& tenant = fleet[static_cast<std::size_t>(msg.model_id)];
@@ -493,21 +460,17 @@ struct ProviderState {
       remapped = tracking && lane->epochs.at(cur_seq).epoch != before;
     }
     // Re-admit parked chunks whose lane/epoch is now known. Consumption is
-    // disabled: anything for the current image under a *new* epoch belongs
-    // to the restart path, which re-pulls the stash from volume 0.
+    // disabled: the caller re-pulls the stash for the slot it waits on.
     auto parked = std::move(pending);
     pending.clear();
     for (auto& chunk : parked) {
-      admit(chunk, cur_stream, cur_seq, remapped ? 0 : cur_vol,
-            /*allow_consume=*/false);
+      admit(chunk, cur_stream, cur_seq, cur_vol, /*allow_consume=*/false);
     }
     return remapped;
   }
 
-  /// Records a kDispatch owner binding (multi mode; a single-tenant
-  /// provider receiving one is talking to a mismatched or hostile door).
+  /// Records a kDispatch owner binding.
   void register_dispatch(const rpc::DispatchMsg& msg, int cur_seq) {
-    DE_REQUIRE(multi, "dispatch announcement on a single-tenant provider");
     if (msg.seq < cur_seq) return;  // stale repeat of a finished image
     if (msg.seq - cur_seq > kMaxImagesAhead ||
         owners.size() >= kMaxPendingChunks) {
@@ -559,12 +522,36 @@ struct ProviderState {
     return cur_seq < cancel_floor;
   }
 
-  /// Records a lane eviction (multi mode); applied by sweep_evictions once
-  /// the global cursor passes the drained watermark.
+  /// Records a lane eviction; applied by sweep_evictions once the global
+  /// cursor passes the drained watermark.
   void register_eviction(const rpc::LaneEvictMsg& msg) {
-    DE_REQUIRE(multi, "lane eviction on a single-tenant provider");
     auto [it, inserted] = evictions.emplace(msg.stream, msg.below_seq);
     if (!inserted) it->second = std::max(it->second, msg.below_seq);
+  }
+
+  /// Registers one received announcement relative to the processing point
+  /// (cur_stream < 0 between images). Returns true when a membership
+  /// change voided the image at `cur_seq`.
+  bool announce(const Announcement& a, RxState& rx, Retransmitter* rtx,
+                int cur_stream, int cur_seq, int cur_vol) {
+    switch (a.type) {
+      case rpc::MsgType::kReconfigure:
+        // The door pins every dispatched image to its epoch (swaps take
+        // effect at the next *undispatched* global seq), so a re-map of
+        // the image in progress is a front-door protocol breach.
+        DE_REQUIRE(!register_epoch(a.reconfig, cur_stream, cur_seq, cur_vol),
+                   "epoch re-mapped a dispatched image — the front door "
+                   "swapped behind its own dispatch");
+        return false;
+      case rpc::MsgType::kDispatch:
+        register_dispatch(a.dispatch, cur_seq);
+        return false;
+      case rpc::MsgType::kMembership:
+        return register_membership(a.membership, rx, rtx, cur_seq);
+      default:
+        register_eviction(a.evict);
+        return false;
+    }
   }
 
   /// Drops the epoch lanes (history, schedules, weights binding) of closed
@@ -588,8 +575,8 @@ struct ProviderState {
   }
 };
 
-}  // namespace
-
+/// Encodes and posts a chunk, updating `stats`. With `rtx` set the chunk is
+/// stamped (from_node, chunk_id) and tracked for retransmission until acked.
 void post_chunk(rpc::Transport& transport, const rpc::Address& to,
                 rpc::ChunkMsg msg, DataPlaneStats& stats, Retransmitter* rtx) {
   const auto payload =
@@ -600,56 +587,36 @@ void post_chunk(rpc::Transport& transport, const rpc::Address& to,
   if (rtx != nullptr) {
     msg.from_node = transport.local_node();
     msg.chunk_id = rtx->next_chunk_id(to.node);
-    rpc::Frame frame(rpc::encode_chunk(msg));
-    stats.wire_bytes.fetch_add(static_cast<Bytes>(frame.size()),
-                               std::memory_order_relaxed);
-    rtx->track(to, msg.chunk_id, frame);  // refcount share, not a copy
-    transport.send(to, std::move(frame));
-    return;
   }
   rpc::Frame frame(rpc::encode_chunk(msg));
   stats.wire_bytes.fetch_add(static_cast<Bytes>(frame.size()),
                              std::memory_order_relaxed);
+  if (rtx != nullptr) rtx->track(to, msg.chunk_id, frame);  // refcount share
   transport.send(to, std::move(frame));
 }
 
-void post_reconfigure(rpc::Transport& transport, const rpc::Address& to,
-                      rpc::ReconfigureMsg msg, DataPlaneStats& stats,
-                      Retransmitter* rtx) {
-  if (rtx != nullptr) {
-    msg.from_node = transport.local_node();
-    msg.chunk_id = rtx->next_chunk_id(to.node);
+/// Posts one front-door announcement to provider `to`'s data mailbox. With
+/// ctx.rtx set it is stamped and tracked exactly like a tensor chunk (the
+/// receiver acks it on the same path), so it survives the same faults the
+/// data it gates does.
+template <typename Msg>
+void post_announcement(RequesterContext& ctx, rpc::NodeId to, Msg msg,
+                       rpc::Payload (*encode)(const Msg&)) {
+  if (ctx.rtx != nullptr) {
+    msg.from_node = ctx.transport.local_node();
+    msg.chunk_id = ctx.rtx->next_chunk_id(to);
   }
-  rpc::Frame frame(rpc::encode_reconfigure(msg));
-  stats.wire_bytes.fetch_add(static_cast<Bytes>(frame.size()),
-                             std::memory_order_relaxed);
-  if (rtx != nullptr) rtx->track(to, msg.chunk_id, frame);
-  transport.send(to, std::move(frame));
+  rpc::Frame frame(encode(msg));
+  ctx.stats.wire_bytes.fetch_add(static_cast<Bytes>(frame.size()),
+                                 std::memory_order_relaxed);
+  if (ctx.rtx != nullptr) ctx.rtx->track(data_addr(to), msg.chunk_id, frame);
+  ctx.transport.send(data_addr(to), std::move(frame));
 }
 
-namespace {
-
-/// Posts a kDispatch announcement, tracked exactly like a reconfigure.
-void post_dispatch(rpc::Transport& transport, const rpc::Address& to,
-                   rpc::DispatchMsg msg, DataPlaneStats& stats,
-                   Retransmitter* rtx) {
-  if (rtx != nullptr) {
-    msg.from_node = transport.local_node();
-    msg.chunk_id = rtx->next_chunk_id(to.node);
-  }
-  rpc::Frame frame(rpc::encode_dispatch(msg));
-  stats.wire_bytes.fetch_add(static_cast<Bytes>(frame.size()),
-                             std::memory_order_relaxed);
-  if (rtx != nullptr) rtx->track(to, msg.chunk_id, frame);
-  transport.send(to, std::move(frame));
-}
-
-enum class ImageOutcome { kDone, kRestart, kStop, kCancelled };
+enum class ImageOutcome { kDone, kStop, kCancelled };
 
 /// Executes image `seq` on provider `i` under the epoch of `lane` (the
-/// stream that owns the image) currently serving it. kRestart means an
-/// epoch announcement re-mapped this image before any of it was consumed or
-/// computed — rerun under the new plan.
+/// stream that owns the image) currently serving it.
 ImageOutcome process_image(
     ProviderState& state, RxState& rx, rpc::Transport& transport,
     StreamLane& lane, int seq, DataPlaneStats& stats,
@@ -670,7 +637,6 @@ ImageOutcome process_image(
   cnn::Tensor legacy_prev;           // serial mode's previous-part output
   const cnn::Tensor* prev_out = nullptr;
   cnn::RowInterval prev_rows{0, 0};  // which absolute rows prev_out holds
-  bool touched = false;  // consumed a chunk or produced rows for this image
 
   for (int l = 0; l < n_volumes; ++l) {
     const auto volume = strategy.volumes[static_cast<std::size_t>(l)];
@@ -729,7 +695,6 @@ ImageOutcome process_image(
           fail_geometry(chunk.view);
         }
         blit_chunk(chunk, crop, need.begin, mode, stats);
-        touched = true;
         --remaining;
       }
       state.stash.erase(it);
@@ -737,12 +702,8 @@ ImageOutcome process_image(
     int timeout_rounds = 0;
     while (remaining > 0) {
       RxChunk chunk;
-      rpc::ReconfigureMsg rmsg;
-      rpc::DispatchMsg dmsg;
-      rpc::MembershipMsg mmsg;
-      rpc::LaneEvictMsg emsg;
-      switch (receive_frame(rx, chunk, &rmsg, state.multi ? &dmsg : nullptr,
-                            &mmsg, state.multi ? &emsg : nullptr)) {
+      Announcement announcement;
+      switch (receive_frame(rx, chunk, &announcement)) {
         case RxKind::kStop:
           return ImageOutcome::kStop;  // shutdown: abandon the image
         case RxKind::kSkip:
@@ -756,11 +717,8 @@ ImageOutcome process_image(
             fail_starved(i, seq, l, timeout_rounds);
           }
           continue;
-        case RxKind::kDispatch:
-          state.register_dispatch(dmsg, seq);
-          continue;
-        case RxKind::kMembership:
-          if (state.register_membership(mmsg, rx, rtx, seq)) {
+        case RxKind::kAnnouncement:
+          if (state.announce(announcement, rx, rtx, lane.stream, seq, l)) {
             // This image is among the voided: its owner (possibly us, more
             // likely a dead peer's halo half) can never complete it, and
             // the requester already re-dispatched its input under a fresh
@@ -770,22 +728,6 @@ ImageOutcome process_image(
             obs::trace_instant(obs::Cat::kImageCancel, seq, l, ep.epoch);
             stats.images_cancelled.fetch_add(1, std::memory_order_relaxed);
             return ImageOutcome::kCancelled;
-          }
-          continue;
-        case RxKind::kLaneEvict:
-          state.register_eviction(emsg);
-          continue;
-        case RxKind::kReconfig:
-          if (state.register_epoch(rmsg, lane.stream, seq, l)) {
-            // This image now belongs to a newer epoch. Nothing of it can
-            // have been consumed or computed yet (the requester announces
-            // before any new-epoch traffic, and no old-epoch traffic for
-            // it was ever produced) — anything else is a protocol breach.
-            DE_REQUIRE(!touched,
-                       "epoch re-mapped an image already in progress — "
-                       "reconfigure raced past its cutover boundary");
-            obs::trace_instant(obs::Cat::kImageRestart, seq, l, rmsg.epoch);
-            return ImageOutcome::kRestart;
           }
           continue;
         case RxKind::kChunk:
@@ -799,7 +741,6 @@ ImageOutcome process_image(
         fail_geometry(chunk.view);
       }
       blit_chunk(chunk, crop, need.begin, mode, stats);
-      touched = true;
       --remaining;
     }
 
@@ -881,7 +822,6 @@ ImageOutcome process_image(
                     std::chrono::steady_clock::now() - t0)
                     .count();
     compute_ms += t_compute * 1e3;
-    touched = true;
     prev_rows = part;
   }
   return ImageOutcome::kDone;
@@ -889,40 +829,33 @@ ImageOutcome process_image(
 
 }  // namespace
 
-void provider_loop(rpc::Transport& transport, int i, const cnn::CnnModel& model,
-                   const sim::RawStrategy& strategy,
-                   const std::vector<cnn::ConvWeights>& weights,
-                   const TransferPlan& plan, int n_images,
-                   DataPlaneStats& stats,
-                   const ReliabilityOptions& reliability,
-                   const cnn::ExecContext& exec, DataPlaneMode mode,
-                   const TelemetryHooks& telemetry) {
+void provider_loop_multi(rpc::Transport& transport, int i,
+                         std::span<const TenantModel> fleet,
+                         DataPlaneStats& stats,
+                         const ReliabilityOptions& reliability,
+                         const cnn::ExecContext& exec, DataPlaneMode mode,
+                         const TelemetryHooks& telemetry) {
   const bool overlap = mode == DataPlaneMode::kOverlapZeroCopy;
   ChunkDedup dedup;
   RxState rx{transport, reliability, stats, dedup};
-  ProviderState state{i, n_images, /*multi=*/false, {}, {}, {}, {}, {}};
-  state.lanes.emplace(
-      0, StreamLane{0, 0, &model, &weights,
-                    EpochTable(EpochPlan{0, 0, strategy, plan}), {}});
-  StreamLane& lane = state.lanes.at(0);  // map node: stable address
+  ProviderState state{i, fleet, {}, {}, {}, {}, 0, {}};
 
   std::unique_ptr<Retransmitter> rtx;
   if (reliability.enabled) {
     rtx = std::make_unique<Retransmitter>(transport, reliability, stats);
   }
 
-  // Lease renewals to the membership collector (off unless configured).
-  Heartbeater heartbeat(transport,
-                        telemetry.heartbeat_to != rpc::kNilNode
-                            ? telemetry.heartbeat_to
-                            : plan.requester_node(),
+  DE_REQUIRE((telemetry.heartbeat_ms <= 0 && telemetry.every_images <= 0) ||
+                 telemetry.collector != rpc::kNilNode,
+             "telemetry and heartbeats need a collector node");
+  Heartbeater heartbeat(transport, telemetry.collector,
                         telemetry.heartbeat_ms, telemetry.clock_origin_us,
                         stats);
 
-  // Pack each conv layer's weights once for the run, not once per image.
-  cnn::ExecCache exec_cache;
+  // One packed-weight cache per tenant model: interleaved streams of
+  // different models each pay the packing cost once per run, not per image.
+  std::vector<cnn::ExecCache> caches(fleet.size());
   cnn::ExecContext exec_ctx = exec;
-  exec_ctx.cache = &exec_cache;
 
   // Per-run overlap state: recycled frame buffers, the dedicated sender
   // thread, and reusable crop/part tensors — steady-state images allocate
@@ -934,166 +867,9 @@ void provider_loop(rpc::Transport& transport, int i, const cnn::CnnModel& model,
   cnn::Tensor out_bufs[2];
   int cur_buf = 0;
 
-  // The loop below returns from several places (stream shutdown arrives in
-  // the middle of an image); the sender must drain and the arena's
-  // allocation count must fold into the shared stats on every path.
-  struct Cleanup {
-    std::optional<ChunkSender>& sender;
-    rpc::FrameArena& arena;
-    DataPlaneStats& stats;
-    ~Cleanup() {
-      if (sender) sender->drain();
-      stats.frame_allocs.fetch_add(arena.stats().allocated,
-                                   std::memory_order_relaxed);
-    }
-  } cleanup{sender, arena, stats};
-
-  // Telemetry window accumulators.
-  auto window_start = std::chrono::steady_clock::now();
-  double window_compute_ms = 0;
-  int window_images = 0;
-
-  int seq = 0;
-  while (n_images < 0 || seq < n_images) {
-    // Nothing before `seq` can be referenced again: retire superseded
-    // epoch history (and its schedules) so unbounded streams with many
-    // reconfigurations do not accrete plans. No EpochPlan reference is
-    // held across this point.
-    lane.epochs.retire(seq);
-    lane.schedules.erase(lane.schedules.begin(),
-                         lane.schedules.lower_bound(lane.epochs.oldest()));
-
-    // Resolve the epoch serving `seq`; while this device is idle under it,
-    // jump to the next known epoch's first image, or — streaming runs —
-    // listen for the announcement that re-activates us (or the shutdown).
-    if (!lane.epochs.at(seq).plan.device_active(i)) {
-      if (const EpochPlan* next = lane.epochs.after(seq)) {
-        seq = next->from_seq;
-        continue;
-      }
-      if (n_images >= 0) return;  // finite run: nothing will ever change
-      RxChunk chunk;
-      rpc::ReconfigureMsg rmsg;
-      rpc::MembershipMsg mmsg;
-      switch (receive_frame(rx, chunk, &rmsg, nullptr, &mmsg)) {
-        case RxKind::kStop:
-          return;
-        case RxKind::kSkip:
-        case RxKind::kTimeout:
-          // Timeouts on an idle device are expected, not starvation.
-          continue;
-        case RxKind::kReconfig:
-          state.register_epoch(rmsg, lane.stream, seq, 0);
-          continue;
-        case RxKind::kMembership:
-          state.register_membership(mmsg, rx, rtx.get(), seq);
-          seq = std::max(seq, state.cancel_floor);
-          continue;
-        case RxKind::kDispatch:   // unreachable: dispatch ptr not passed
-        case RxKind::kLaneEvict:  // unreachable: lane-evict ptr not passed
-        case RxKind::kChunk:
-          state.admit(chunk, lane.stream, seq, 0, /*allow_consume=*/false);
-          continue;
-      }
-      continue;
-    }
-
-    double compute_ms = 0;
-    switch (process_image(state, rx, transport, lane, seq, stats,
-                          reliability, exec_ctx, mode, arena, sender,
-                          rtx.get(), crop_buf, out_bufs, cur_buf,
-                          compute_ms)) {
-      case ImageOutcome::kStop:
-        return;
-      case ImageOutcome::kRestart:
-        continue;  // same seq, new epoch
-      case ImageOutcome::kCancelled:
-        seq = state.cancel_floor;  // voided: resume at the re-dispatch point
-        continue;
-      case ImageOutcome::kDone:
-        break;
-    }
-    window_compute_ms += compute_ms;
-    ++window_images;
-    ++seq;
-
-    if (telemetry.every_images > 0 &&
-        window_images >= telemetry.every_images) {
-      const auto now = std::chrono::steady_clock::now();
-      rpc::TelemetryMsg report;
-      report.from_node = i;
-      report.window_s =
-          std::chrono::duration_cast<std::chrono::duration<double>>(
-              now - window_start)
-              .count();
-      report.compute_ms = window_compute_ms / window_images;
-      report.images = window_images;
-      if (telemetry.links != nullptr) {
-        report.links = telemetry.links->sample_link_rates();
-      }
-      // Node-local steady clock (wire v4): lets the collector estimate this
-      // node's clock offset when merging traces (src/obs/trace_export.hpp).
-      report.steady_now_us = obs::now_us() - telemetry.clock_origin_us;
-      obs::trace_instant(obs::Cat::kTelemetryPub, seq, -1, -1, window_images);
-      rpc::Frame frame(rpc::encode_telemetry(report));
-      stats.wire_bytes.fetch_add(static_cast<Bytes>(frame.size()),
-                                 std::memory_order_relaxed);
-      // Fire-and-forget: a lost report just widens the next window. The
-      // requester's node id is the same under every epoch (device count is
-      // fixed for the life of a stream).
-      transport.send(rpc::Address{plan.requester_node(), rpc::kTelemetryMailbox},
-                     std::move(frame));
-      window_start = now;
-      window_compute_ms = 0;
-      window_images = 0;
-    }
-  }
-
-  // Finite reliable run: our final gathers may still be unacked; keep the
-  // link serviced until they are (or the budget runs out). The sender must
-  // have handed the frames over first (its queue is our side of the story).
-  if (sender) sender->drain();
-  if (rtx != nullptr && n_images >= 0) drain_outbox(rx, *rtx);
-}
-
-void provider_loop_multi(rpc::Transport& transport, int i,
-                         std::span<const TenantModel> fleet,
-                         DataPlaneStats& stats,
-                         const ReliabilityOptions& reliability,
-                         const cnn::ExecContext& exec, DataPlaneMode mode,
-                         const TelemetryHooks& telemetry) {
-  const bool overlap = mode == DataPlaneMode::kOverlapZeroCopy;
-  ChunkDedup dedup;
-  RxState rx{transport, reliability, stats, dedup};
-  ProviderState state{i, /*n_images=*/-1, /*multi=*/true, fleet,
-                      {}, {}, {}, {}};
-
-  std::unique_ptr<Retransmitter> rtx;
-  if (reliability.enabled) {
-    rtx = std::make_unique<Retransmitter>(transport, reliability, stats);
-  }
-
-  // Lease renewals to the front door. The multi loop has no seed plan to
-  // derive the collector node from, so it must be given explicitly.
-  DE_REQUIRE(telemetry.heartbeat_ms <= 0 ||
-                 telemetry.heartbeat_to != rpc::kNilNode,
-             "multi-tenant heartbeats need an explicit collector node");
-  Heartbeater heartbeat(transport, telemetry.heartbeat_to,
-                        telemetry.heartbeat_ms, telemetry.clock_origin_us,
-                        stats);
-
-  // One packed-weight cache per tenant model: interleaved streams of
-  // different models each pay the packing cost once per run, not per image.
-  std::vector<cnn::ExecCache> caches(fleet.size());
-  cnn::ExecContext exec_ctx = exec;
-
-  rpc::FrameArena arena;
-  std::optional<ChunkSender> sender;
-  if (overlap) sender.emplace(transport);
-  cnn::Tensor crop_buf;
-  cnn::Tensor out_bufs[2];
-  int cur_buf = 0;
-
+  // The loop returns from several places (shutdown arrives in the middle of
+  // an image); the sender must drain and the arena's allocation count must
+  // fold into the shared stats on every path.
   struct Cleanup {
     std::optional<ChunkSender>& sender;
     rpc::FrameArena& arena;
@@ -1112,8 +888,8 @@ void provider_loop_multi(rpc::Transport& transport, int i,
   int seq = 0;  // global fleet sequence, interleaved across streams
   for (;;) {
     // Retire history nothing before `seq` can reference again: finished
-    // dispatch records and every lane's superseded epochs + schedules.
-    // (Lane map entries themselves live for the run — see ProviderState.)
+    // dispatch records, evicted lanes, and every lane's superseded epochs
+    // + schedules.
     state.owners.erase(state.owners.begin(), state.owners.lower_bound(seq));
     state.sweep_evictions(seq, stats);
     for (auto& [id, l] : state.lanes) {
@@ -1130,29 +906,18 @@ void provider_loop_multi(rpc::Transport& transport, int i,
         own == state.owners.end() ? nullptr : state.lane_for(own->second.stream);
     if (lane == nullptr || !lane->epochs.knows(own->second.epoch)) {
       RxChunk chunk;
-      rpc::ReconfigureMsg rmsg;
-      rpc::DispatchMsg dmsg;
-      rpc::MembershipMsg mmsg;
-      rpc::LaneEvictMsg emsg;
-      switch (receive_frame(rx, chunk, &rmsg, &dmsg, &mmsg, &emsg)) {
+      Announcement announcement;
+      switch (receive_frame(rx, chunk, &announcement)) {
         case RxKind::kStop:
           return;
         case RxKind::kSkip:
         case RxKind::kTimeout:
           // Waiting for a dispatch is idle time, not starvation.
           continue;
-        case RxKind::kReconfig:
-          state.register_epoch(rmsg, /*cur_stream=*/-1, seq, 0);
-          continue;
-        case RxKind::kDispatch:
-          state.register_dispatch(dmsg, seq);
-          continue;
-        case RxKind::kMembership:
-          state.register_membership(mmsg, rx, rtx.get(), seq);
+        case RxKind::kAnnouncement:
+          state.announce(announcement, rx, rtx.get(), /*cur_stream=*/-1, seq,
+                         0);
           seq = std::max(seq, state.cancel_floor);
-          continue;
-        case RxKind::kLaneEvict:
-          state.register_eviction(emsg);
           continue;
         case RxKind::kChunk:
           state.admit(chunk, /*cur_stream=*/-1, seq, 0,
@@ -1180,13 +945,6 @@ void provider_loop_multi(rpc::Transport& transport, int i,
                           compute_ms)) {
       case ImageOutcome::kStop:
         return;
-      case ImageOutcome::kRestart:
-        // The door pins every dispatched image to its epoch (per-stream
-        // swaps take effect at the next *undispatched* global seq), so a
-        // re-map of an in-flight image is a front-door protocol breach.
-        DE_REQUIRE(false, "epoch re-mapped a dispatched image — the front "
-                          "door swapped behind its own dispatch");
-        continue;
       case ImageOutcome::kCancelled:
         seq = state.cancel_floor;  // voided: resume at the re-dispatch point
         continue;
@@ -1211,16 +969,16 @@ void provider_loop_multi(rpc::Transport& transport, int i,
       if (telemetry.links != nullptr) {
         report.links = telemetry.links->sample_link_rates();
       }
+      // Node-local steady clock: lets the collector estimate this node's
+      // clock offset when merging traces (src/obs/trace_export.hpp).
       report.steady_now_us = obs::now_us() - telemetry.clock_origin_us;
       obs::trace_instant(obs::Cat::kTelemetryPub, seq, -1, -1, window_images);
       rpc::Frame frame(rpc::encode_telemetry(report));
       stats.wire_bytes.fetch_add(static_cast<Bytes>(frame.size()),
                                  std::memory_order_relaxed);
-      // The requester node id is plan-invariant (device count is fixed for
-      // the life of the fleet), so any lane's current plan works here.
-      transport.send(
-          rpc::Address{ep.plan.requester_node(), rpc::kTelemetryMailbox},
-          std::move(frame));
+      // Fire-and-forget: a lost report just widens the next window.
+      transport.send(rpc::Address{telemetry.collector, rpc::kTelemetryMailbox},
+                     std::move(frame));
       window_start = now;
       window_compute_ms = 0;
       window_images = 0;
@@ -1228,31 +986,9 @@ void provider_loop_multi(rpc::Transport& transport, int i,
   }
 }
 
-int push_epoch(RequesterContext& ctx, const cnn::CnnModel& model,
-               const sim::RawStrategy& strategy, int from_seq) {
-  EpochPlan next;
-  next.epoch = ctx.epochs.latest() + 1;
-  next.from_seq = from_seq;
-  next.strategy = strategy;
-  next.plan = build_transfer_plan(model, strategy,
-                                  ctx.epochs.latest_plan().plan.n_devices);
-  rpc::ReconfigureMsg msg = reconfigure_from_epoch(next);
-  const int n_devices = next.plan.n_devices;
-  const int epoch = next.epoch;
-  obs::trace_instant(obs::Cat::kEpochPush, from_seq, -1, epoch);
-  ctx.epochs.add(std::move(next));
-  // Announce to every provider — the idle ones too: an epoch may activate
-  // a device the previous one never used.
-  for (int k = 0; k < n_devices; ++k) {
-    post_reconfigure(ctx.transport, data_addr(k), msg, ctx.stats, ctx.rtx);
-  }
-  return epoch;
-}
-
 int push_stream_epoch(RequesterContext& ctx, int stream, int model_id,
                       const cnn::CnnModel& model,
                       const sim::RawStrategy& strategy, int from_seq) {
-  DE_REQUIRE(ctx.multi, "push_stream_epoch on a single-tenant context");
   DE_REQUIRE(model_id >= 0, "tenant model ids are non-negative");
   EpochPlan next;
   next.epoch = ctx.next_epoch++;  // global allocation: lanes never share ids
@@ -1269,16 +1005,16 @@ int push_stream_epoch(RequesterContext& ctx, int stream, int model_id,
   } else {
     ctx.lanes.emplace(stream, EpochTable(std::move(next)));
   }
-  // Announce to every provider — the idle ones too — before any traffic of
-  // the new regime, exactly like the single-tenant push_epoch.
+  // Announce to every provider — the idle ones too: an epoch may activate
+  // a device the previous one never used — before any traffic of the new
+  // regime.
   for (int k = 0; k < ctx.n_devices; ++k) {
-    post_reconfigure(ctx.transport, data_addr(k), msg, ctx.stats, ctx.rtx);
+    post_announcement(ctx, k, msg, rpc::encode_reconfigure);
   }
   return epoch;
 }
 
 void dispatch_image(RequesterContext& ctx, int stream, int seq) {
-  DE_REQUIRE(ctx.multi, "dispatch_image on a single-tenant context");
   const auto lane = ctx.lanes.find(stream);
   DE_REQUIRE(lane != ctx.lanes.end(),
              "dispatch for a stream with no epoch lane");
@@ -1287,43 +1023,23 @@ void dispatch_image(RequesterContext& ctx, int stream, int seq) {
              "global seq already dispatched");
   const rpc::DispatchMsg msg{rpc::kNilNode, 0, stream, seq, ep.epoch};
   for (int k = 0; k < ctx.n_devices; ++k) {
-    post_dispatch(ctx.transport, data_addr(k), msg, ctx.stats, ctx.rtx);
+    post_announcement(ctx, k, msg, rpc::encode_dispatch);
   }
 }
 
 void retire_below(RequesterContext& ctx, int watermark) {
-  if (!ctx.multi) {
-    ctx.epochs.retire(watermark);
-    return;
-  }
   for (auto& [stream, lane] : ctx.lanes) lane.retire(watermark);
   ctx.owner.erase(ctx.owner.begin(), ctx.owner.lower_bound(watermark));
 }
 
 void post_membership(RequesterContext& ctx, rpc::NodeId to,
                      rpc::MembershipMsg msg) {
-  if (ctx.rtx != nullptr) {
-    msg.from_node = ctx.transport.local_node();
-    msg.chunk_id = ctx.rtx->next_chunk_id(to);
-  }
-  rpc::Frame frame(rpc::encode_membership(msg));
-  ctx.stats.wire_bytes.fetch_add(static_cast<Bytes>(frame.size()),
-                                 std::memory_order_relaxed);
-  if (ctx.rtx != nullptr) ctx.rtx->track(data_addr(to), msg.chunk_id, frame);
-  ctx.transport.send(data_addr(to), std::move(frame));
+  post_announcement(ctx, to, std::move(msg), rpc::encode_membership);
 }
 
 void post_lane_evict(RequesterContext& ctx, rpc::NodeId to,
                      rpc::LaneEvictMsg msg) {
-  if (ctx.rtx != nullptr) {
-    msg.from_node = ctx.transport.local_node();
-    msg.chunk_id = ctx.rtx->next_chunk_id(to);
-  }
-  rpc::Frame frame(rpc::encode_lane_evict(msg));
-  ctx.stats.wire_bytes.fetch_add(static_cast<Bytes>(frame.size()),
-                                 std::memory_order_relaxed);
-  if (ctx.rtx != nullptr) ctx.rtx->track(data_addr(to), msg.chunk_id, frame);
-  ctx.transport.send(data_addr(to), std::move(frame));
+  post_announcement(ctx, to, msg, rpc::encode_lane_evict);
 }
 
 std::size_t apply_membership_local(RequesterContext& ctx,
@@ -1347,15 +1063,8 @@ std::size_t apply_membership_local(RequesterContext& ctx,
 }
 
 void scatter_image(RequesterContext& ctx, int seq, const cnn::Tensor& input) {
-  int stream = 0;
-  const EpochPlan* resolved;
-  if (ctx.multi) {
-    stream = ctx.owner.at(seq);  // dispatch_image must have bound it
-    resolved = &ctx.lanes.at(stream).at(seq);
-  } else {
-    resolved = &ctx.epochs.at(seq);
-  }
-  const EpochPlan& ep = *resolved;
+  const int stream = ctx.owner.at(seq);  // dispatch_image must have bound it
+  const EpochPlan& ep = ctx.lanes.at(stream).at(seq);
   obs::SpanScope span(obs::Cat::kScatter, seq, 0, ep.epoch);
   for (int i = 0; i < ep.plan.n_devices; ++i) {
     const auto& need = ep.plan.needs[0][static_cast<std::size_t>(i)];
@@ -1387,15 +1096,11 @@ GatherStatus gather_image(RequesterContext& ctx, int seq,
 
   const cnn::RowInterval bounds{0, output.h};
   // The requester knows every epoch (it creates them), so a gather chunk's
-  // tag must match the epoch serving its image exactly — and, in
-  // multi-tenant mode, its stream tag must match the image's dispatched
-  // owner (owner records exist exactly for the dispatched-not-yet-retired
-  // window, so their lanes always cover the seq).
+  // tag must match the epoch serving its image exactly, and its stream tag
+  // must match the image's dispatched owner (owner records exist exactly
+  // for the dispatched-not-yet-retired window, so their lanes always cover
+  // the seq).
   const auto epoch_ok = [&ctx](const rpc::ChunkView& v) {
-    if (!ctx.multi) {
-      return v.epoch <= ctx.epochs.latest() &&
-             ctx.epochs.at(v.seq).epoch == v.epoch;
-    }
     const auto o = ctx.owner.find(v.seq);
     if (o == ctx.owner.end() || o->second != v.stream) return false;
     const auto l = ctx.lanes.find(v.stream);
@@ -1421,9 +1126,7 @@ GatherStatus gather_image(RequesterContext& ctx, int seq,
     ctx.stash.erase(it);
   }
   RxState rx{ctx.transport, ctx.reliability, ctx.stats, ctx.dedup};
-  const EpochPlan& ep = ctx.multi
-                            ? ctx.lanes.at(ctx.owner.at(seq)).at(seq)
-                            : ctx.epochs.at(seq);
+  const EpochPlan& ep = ctx.lanes.at(ctx.owner.at(seq)).at(seq);
   obs::SpanScope span(obs::Cat::kGather, seq, -1, ep.epoch);
   int timeout_rounds = 0;
   while (remaining_rows > 0) {
@@ -1433,10 +1136,7 @@ GatherStatus gather_image(RequesterContext& ctx, int seq,
       case RxKind::kStop:
         return GatherStatus::kFailed;
       case RxKind::kSkip:
-      case RxKind::kReconfig:    // unreachable: requester sends these
-      case RxKind::kDispatch:    // unreachable: dispatch ptr not passed
-      case RxKind::kMembership:  // unreachable: requester sends these
-      case RxKind::kLaneEvict:   // unreachable: lane-evict ptr not passed
+      case RxKind::kAnnouncement:  // unreachable: the requester sends these
         continue;
       case RxKind::kTimeout:
         ctx.stats.recv_timeouts.fetch_add(1, std::memory_order_relaxed);

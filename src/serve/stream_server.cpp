@@ -9,6 +9,7 @@
 
 #include "common/require.hpp"
 #include "ctrl/membership.hpp"
+#include "runtime/transfer_plan.hpp"
 #include "obs/admin.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/trace.hpp"
@@ -26,11 +27,26 @@ StreamServer::StreamServer(rpc::Transport& door, int n_devices,
       n_devices_(n_devices),
       fleet_(fleet.begin(), fleet.end()),
       stats_(stats),
-      options_(options) {
+      options_(options),
+      gather_latency_(registry_.histogram(runtime::kMetricGatherLatencyUs)),
+      image_latency_(registry_.histogram(runtime::kMetricImageLatencyUs)),
+      clock_origin_us_(options.node_origins != nullptr
+                           ? options.node_origins->at(
+                                 static_cast<std::size_t>(n_devices))
+                           : 0) {
   DE_REQUIRE(n_devices_ > 0, "a serving fleet needs at least one provider");
   DE_REQUIRE(!fleet_.empty(), "a serving fleet needs at least one tenant");
   DE_REQUIRE(options_.max_streams > 0 && options_.default_window > 0,
              "stream cap and default window must be positive");
+  // A tenant that cannot serve would fail inside the pump (or on every
+  // provider) at its first stream's first image: refuse it here.
+  for (const auto& tenant : fleet_) {
+    DE_REQUIRE(tenant.weights->size() ==
+                   static_cast<std::size_t>(tenant.model->num_layers()),
+               "one weight entry per layer");
+    (void)runtime::build_transfer_plan(*tenant.model, tenant.strategy,
+                                       n_devices_);
+  }
   register_admin();
   pump_thread_ = std::thread([this] { pump(); });
 }
@@ -55,46 +71,27 @@ void StreamServer::register_admin() {
                              bad ? "pump down\n" : "ok\n"};
   });
   add("/metrics", [this](std::string_view) {
-    runtime::fold_data_plane_metrics(stats_, registry_);
-    {
-      std::lock_guard lk(mu_);
-      runtime::sample_queue_depths(door_, rtx_, registry_);
-      std::int64_t delivered = 0;
-      std::int64_t stalls = 0;
-      for (const auto& [id, s] : streams_) {
-        delivered += s.delivered;
-        stalls += s.credit_stalls;
-      }
-      registry_.counter(runtime::kMetricStreamImages).set(delivered);
-      registry_.counter("door.credit_stalls").set(stalls);
-      registry_.gauge("door.open_streams")
-          .set(static_cast<double>(streams_.size()));
-    }
     return obs::HttpResponse{200, "text/plain; version=0.0.4; charset=utf-8",
-                             obs::to_prometheus(registry_.snapshot())};
+                             obs::to_prometheus(metrics().snapshot())};
   });
   add("/membership", [this](std::string_view) {
     // The door stamps heartbeat receive times with raw obs::now_us()
     // (drain_control), so lease ages are judged on the same clock. Every
     // attached controller sees every heartbeat; the first one's book is as
-    // good as any. The door has no fleet-wide epoch counter (-1).
-    ctrl::Controller* controller = nullptr;
-    {
-      std::lock_guard lk(mu_);
-      for (const auto& [id, s] : streams_) {
-        if (s.controller != nullptr) {
-          controller = s.controller;
-          break;
-        }
-      }
-    }
-    if (controller == nullptr) {
+    // good as any.
+    const auto attached = controllers();
+    if (attached.empty()) {
       return obs::HttpResponse{200, "application/json; charset=utf-8",
                                "{\"devices\":[]}\n"};
     }
-    const auto view = controller->membership_view(obs::now_us());
+    int last_swap_epoch = -1;
+    {
+      std::lock_guard lk(mu_);
+      last_swap_epoch = last_swap_epoch_;
+    }
+    const auto view = attached.front().second->membership_view(obs::now_us());
     return obs::HttpResponse{200, "application/json; charset=utf-8",
-                             ctrl::membership_json(view, -1)};
+                             ctrl::membership_json(view, last_swap_epoch)};
   });
   if (options_.node_origins != nullptr) {
     add("/trace/dump", [this](std::string_view query) {
@@ -103,11 +100,13 @@ void StreamServer::register_admin() {
         seconds = std::atof(std::string(*s).c_str());
       }
       // A fresh capture per dump (the recorder rings are snapshot-safe
-      // while writers are live). No sync book: the door's fabric is
-      // in-process, where origin arithmetic alone rebases exactly.
+      // while writers are live), rebased with the door's clock-sync book.
       obs::TraceCapture cap;
       cap.dump = obs::TraceRecorder::instance().snapshot();
       cap.node_origin_us = *options_.node_origins;
+      for (const auto& sample : clock_sync_.samples()) {
+        cap.sync.ingest(sample.node, sample.reported_us, sample.received_us);
+      }
       auto merged = obs::trim_to_window(
           obs::merge_capture(cap),
           seconds > 0 ? static_cast<std::int64_t>(seconds * 1e6) : 0);
@@ -174,6 +173,33 @@ void StreamServer::unregister_admin() {
   admin_paths_.clear();
 }
 
+obs::MetricsRegistry& StreamServer::metrics() {
+  runtime::fold_data_plane_metrics(stats_, registry_);
+  std::lock_guard lk(mu_);
+  runtime::sample_queue_depths(door_, rtx_, registry_);
+  std::int64_t delivered = 0;
+  std::int64_t stalls = 0;
+  for (const auto& [id, s] : streams_) {
+    delivered += s.delivered;
+    stalls += s.credit_stalls;
+  }
+  registry_.counter(runtime::kMetricStreamImages).set(delivered);
+  registry_.counter("door.credit_stalls").set(stalls);
+  registry_.gauge("door.open_streams")
+      .set(static_cast<double>(streams_.size()));
+  return registry_;
+}
+
+std::vector<std::pair<int, ctrl::Controller*>> StreamServer::controllers()
+    const {
+  std::lock_guard lk(mu_);
+  std::vector<std::pair<int, ctrl::Controller*>> attached;
+  for (const auto& [id, s] : streams_) {
+    if (s.controller != nullptr) attached.emplace_back(id, s.controller);
+  }
+  return attached;
+}
+
 bool StreamServer::down() const {
   std::lock_guard lk(mu_);
   return down_;
@@ -192,6 +218,7 @@ int StreamServer::open_stream(int model_id, int window) {
   s.model_id = model_id;
   s.window = window == 0 ? options_.default_window : window;
   s.credits = s.window;
+  s.opened = Clock::now();
   s.slo = std::make_shared<obs::SloWindow>(256, options_.slo_ms);
   streams_.emplace(id, std::move(s));
   return id;
@@ -207,6 +234,18 @@ bool StreamServer::submit(int stream, cnn::Tensor input) {
   auto it = streams_.find(stream);
   if (it == streams_.end()) return false;
   Stream& s = it->second;
+  // A tensor that does not fit the tenant model would fail inside the pump
+  // (encode) or on a provider (chunk geometry) and take every tenant down
+  // with it: refuse it here instead.
+  const cnn::CnnModel& model =
+      *fleet_[static_cast<std::size_t>(s.model_id)].model;
+  if (input.h != model.input_h() || input.w != model.input_w() ||
+      input.c != model.input_c() ||
+      input.size() != static_cast<std::size_t>(input.h) *
+                          static_cast<std::size_t>(input.w) *
+                          static_cast<std::size_t>(input.c)) {
+    return false;
+  }
   // The window counts images anywhere between submit and pop. Dispatched-
   // but-unpopped images hold (window - credits), so the queue may only grow
   // while it still fits in the remaining credits.
@@ -214,7 +253,8 @@ bool StreamServer::submit(int stream, cnn::Tensor input) {
     return down_ || s.closed || static_cast<int>(s.inputs.size()) < s.credits;
   });
   if (down_ || s.closed) return false;
-  s.inputs.emplace_back(std::move(input), Clock::now());
+  s.inputs.push_back(
+      Input{std::move(input), Clock::now(), static_cast<int>(s.submitted)});
   ++s.submitted;
   cv_pump_.notify_one();
   return true;
@@ -240,8 +280,18 @@ std::optional<cnn::Tensor> StreamServer::pop(int stream) {
 }
 
 void StreamServer::swap_strategy(int stream, const sim::RawStrategy& strategy) {
+  int model_id = 0;
+  {
+    std::lock_guard lk(mu_);
+    model_id = streams_.at(stream).model_id;
+  }
+  // A strategy that does not fit would throw inside the pump and take the
+  // whole door down; the caller gets the error instead.
+  (void)runtime::build_transfer_plan(
+      *fleet_[static_cast<std::size_t>(model_id)].model, strategy, n_devices_);
   std::lock_guard lk(mu_);
-  streams_.at(stream).pending_swap = strategy;
+  Stream& s = streams_.at(stream);
+  s.swaps.push_back(PendingSwap{static_cast<int>(s.submitted), strategy, {}});
 }
 
 void StreamServer::close_stream(int stream) {
@@ -277,56 +327,79 @@ StreamSnapshot StreamServer::snapshot(int stream) const {
   snap.submitted = s.submitted;
   snap.delivered = s.delivered;
   snap.latency_ms = s.latency_ms;
+  snap.retries = s.retries;
   snap.credit_stalls = s.credit_stalls;
+  snap.reconfigurations = s.reconfigs;
   return snap;
 }
 
 void StreamServer::prepare_lane(runtime::RequesterContext& ctx, int id,
-                                int from_seq) {
+                                int from_seq, int index) {
   int model_id = 0;
   bool lane_open = false;
-  std::optional<sim::RawStrategy> swap;
+  Clock::time_point opened;
+  std::vector<PendingSwap> due;
   ctrl::Controller* controller = nullptr;
   {
     std::lock_guard lk(mu_);
     Stream& s = streams_.at(id);
     model_id = s.model_id;
     lane_open = s.lane_open;
-    swap = std::move(s.pending_swap);
-    s.pending_swap.reset();
+    opened = s.opened;
     controller = s.controller;
+    // Registration order, minus swaps keyed on a later submission.
+    std::deque<PendingSwap> later;
+    for (auto& swap : s.swaps) {
+      if (swap.from_image <= index) {
+        due.push_back(std::move(swap));
+      } else {
+        later.push_back(std::move(swap));
+      }
+    }
+    s.swaps = std::move(later);
   }
-  // An attached per-tenant controller's decision wins over an older
-  // explicit swap_strategy() registration — it planned against fresher
-  // telemetry. Membership decisions are NOT consumed here: the pump's
-  // recovery step takes those, because they need the in-flight window.
+  // An attached per-tenant controller's decision lands last, so it wins
+  // over older explicit registrations at this boundary — it planned
+  // against fresher telemetry. Membership decisions are NOT consumed here:
+  // the pump's recovery step takes those, because they need the in-flight
+  // window.
   if (controller != nullptr && !controller->membership_pending()) {
     if (auto decision = controller->take_swap()) {
-      swap = std::move(decision->strategy);
+      runtime::ReconfigEvent event;
+      event.predicted_serving_ms = decision->predicted_serving_ms;
+      event.predicted_next_ms = decision->predicted_next_ms;
+      due.push_back(PendingSwap{index, std::move(decision->strategy), event});
     }
   }
   const TenantSpec& tenant = fleet_[static_cast<std::size_t>(model_id)];
   if (!lane_open) {
-    const sim::RawStrategy& strategy = swap ? *swap : tenant.strategy;
-    runtime::push_stream_epoch(ctx, id, model_id, *tenant.model, strategy,
-                               from_seq);
+    runtime::push_stream_epoch(ctx, id, model_id, *tenant.model,
+                               tenant.strategy, from_seq);
     std::lock_guard lk(mu_);
     Stream& s = streams_.at(id);
     s.lane_open = true;
-    s.current = strategy;
+    s.current = tenant.strategy;
     ++s.epochs_pushed;
-  } else if (swap) {
-    runtime::push_stream_epoch(ctx, id, model_id, *tenant.model, *swap,
-                               from_seq);
+  }
+  // Every due swap is its own epoch at this boundary (ties are legal; the
+  // newest epoch at a from_seq wins), so each one is logged.
+  for (auto& swap : due) {
+    swap.event.epoch = runtime::push_stream_epoch(
+        ctx, id, model_id, *tenant.model, swap.strategy, from_seq);
+    swap.event.from_image = index;
+    swap.event.at_s =
+        std::chrono::duration<double>(Clock::now() - opened).count();
     std::lock_guard lk(mu_);
     Stream& s = streams_.at(id);
-    s.current = std::move(*swap);
+    s.current = std::move(swap.strategy);
     ++s.epochs_pushed;
+    s.reconfigs.push_back(swap.event);
+    last_swap_epoch_ = swap.event.epoch;
   }
 }
 
 void StreamServer::pump() {
-  obs::bind_thread("serve-door", n_devices_);
+  obs::bind_thread("requester", n_devices_);
   runtime::RequesterContext ctx(door_, n_devices_, stats_,
                                 options_.reliability, options_.mode);
   std::unique_ptr<runtime::Retransmitter> rtx;
@@ -338,20 +411,13 @@ void StreamServer::pump() {
     rtx_ = rtx.get();  // /metrics samples the outbox depth while it lives
   }
 
-  struct Job {
-    int stream = 0;
-    int model_id = 0;
-    cnn::Tensor input;
-    Clock::time_point t0;
-  };
   struct InFlight {
     int stream = 0;
     int model_id = 0;
-    int seq = 0;
+    int seq = 0;  ///< global fleet seq, assigned at dispatch
     /// Kept until the gather delivers: a membership death voids the whole
     /// window, and re-dispatch needs the original pixels back.
-    cnn::Tensor input;
-    Clock::time_point t0;
+    Input input;
   };
   std::deque<InFlight> inflight;
   int next_seq = 0;
@@ -362,27 +428,33 @@ void StreamServer::pump() {
   // Fans fleet control frames to the attached per-tenant controllers.
   // Every controller sees every frame (a provider's compute/link report —
   // and its lease renewals — concern all tenants sharing it); each
-  // controller's own planner decides whether its tenant should move.
+  // controller's own planner decides whether its tenant should move. Every
+  // frame's steady-clock sample also goes into the clock-sync book,
+  // received on this node's clock; lease books run on raw now_us().
   const auto drain_control = [&] {
     while (auto frame = door_.try_receive(rpc::kTelemetryMailbox)) {
       try {
-        std::vector<ctrl::Controller*> sinks;
-        {
-          std::lock_guard lk(mu_);
-          for (auto& [id, s] : streams_) {
-            if (s.controller != nullptr) sinks.push_back(s.controller);
-          }
-        }
+        const auto sinks = controllers();
+        const std::int64_t received_us = obs::now_us();
         if (rpc::peek_type(*frame) == rpc::MsgType::kHeartbeat) {
           const rpc::HeartbeatMsg hb = rpc::decode_heartbeat(*frame);
-          const std::int64_t received_us = obs::now_us();
-          for (auto* sink : sinks) sink->ingest_heartbeat(hb, received_us);
+          if (hb.steady_now_us > 0) {
+            clock_sync_.ingest(hb.from_node, hb.steady_now_us,
+                               received_us - clock_origin_us_);
+          }
+          for (const auto& [id, sink] : sinks) {
+            sink->ingest_heartbeat(hb, received_us);
+          }
         } else {
           const rpc::TelemetryMsg msg = rpc::decode_telemetry(*frame);
-          for (auto* sink : sinks) sink->ingest(msg);
+          if (msg.steady_now_us > 0) {
+            clock_sync_.ingest(msg.from_node, msg.steady_now_us,
+                               received_us - clock_origin_us_);
+          }
+          for (const auto& [id, sink] : sinks) sink->ingest(msg);
         }
       } catch (const Error&) {
-        // Malformed control frame: drop, like the in-thread controller does.
+        // Malformed control frame: drop, like the data plane does.
       }
     }
   };
@@ -392,22 +464,20 @@ void StreamServer::pump() {
   // a pending death so the gather bails out for recovery.
   ctx.interrupt = [&] {
     drain_control();
-    std::lock_guard lk(mu_);
-    for (auto& [id, s] : streams_) {
-      if (s.controller != nullptr && s.controller->death_pending()) {
-        return true;
-      }
+    for (const auto& [id, controller] : controllers()) {
+      if (controller->death_pending()) return true;
     }
     return false;
   };
 
   // Membership recovery, door flavour (DESIGN.md §membership): announce the
   // change fleet-wide, void the in-flight window on a death and hand those
-  // inputs back to their streams' queues (front, original submit stamps —
-  // they re-dispatch under fresh seqs before anything newer), and re-aim
-  // every live lane at a survivor strategy. The decision's own stream gets
-  // the freshly planned strategy; other streams get their current strategy
-  // masked over the survivors (their controllers, if any, will refine it).
+  // inputs back to their streams' queues (front, original submit stamps
+  // and indices — they re-dispatch under fresh seqs before anything newer),
+  // and re-aim every live lane at a survivor strategy. The decision's own
+  // stream gets the freshly planned strategy; other streams get their
+  // current strategy masked over the survivors (their controllers, if any,
+  // will refine it). Each re-aim is logged as one swap on its stream.
   const auto recover = [&](int owner_stream, const ctrl::SwapDecision& d) {
     const bool death = !d.died.empty();
     rpc::MembershipMsg msg;
@@ -431,28 +501,36 @@ void StreamServer::pump() {
       runtime::post_membership(ctx, static_cast<rpc::NodeId>(k), msg);
     }
     std::lock_guard lk(mu_);
+    std::map<int, int> cancelled;  // per stream
     if (death && !inflight.empty()) {
       stats_.images_cancelled.fetch_add(
           static_cast<std::int64_t>(inflight.size()),
           std::memory_order_relaxed);
       for (auto it = inflight.rbegin(); it != inflight.rend(); ++it) {
         Stream& s = streams_.at(it->stream);
-        s.inputs.emplace_front(std::move(it->input), it->t0);
+        s.inputs.push_front(std::move(it->input));
         ++s.credits;
+        ++cancelled[it->stream];
       }
       inflight.clear();
     }
     for (auto& [id, s] : streams_) {
       if (!s.lane_open && s.inputs.empty()) continue;
+      runtime::ReconfigEvent event;
+      event.deaths = static_cast<int>(d.died.size());
+      event.joins = static_cast<int>(d.joined.size());
+      event.cancelled = cancelled[id];
       if (id == owner_stream) {
-        s.pending_swap = d.strategy;
+        event.predicted_serving_ms = d.predicted_serving_ms;
+        event.predicted_next_ms = d.predicted_next_ms;
+        s.swaps.push_back(PendingSwap{0, d.strategy, event});
         continue;
       }
       const sim::RawStrategy& base =
           s.current.volumes.empty()
               ? fleet_[static_cast<std::size_t>(s.model_id)].strategy
               : s.current;
-      s.pending_swap = ctrl::mask_strategy(base, dead);
+      s.swaps.push_back(PendingSwap{0, ctrl::mask_strategy(base, dead), event});
     }
   };
 
@@ -462,20 +540,10 @@ void StreamServer::pump() {
       //    recovery they decided on — before dispatching anything new, so
       //    re-queued inputs go out under the survivor strategy.
       drain_control();
-      {
-        std::vector<std::pair<int, ctrl::Controller*>> pending;
-        {
-          std::lock_guard lk(mu_);
-          for (auto& [id, s] : streams_) {
-            if (s.controller != nullptr && s.controller->membership_pending()) {
-              pending.emplace_back(id, s.controller);
-            }
-          }
-        }
-        for (auto& [id, controller] : pending) {
-          if (auto decision = controller->take_swap()) {
-            if (decision->membership()) recover(id, *decision);
-          }
+      for (const auto& [id, controller] : controllers()) {
+        if (!controller->membership_pending()) continue;
+        if (auto decision = controller->take_swap()) {
+          if (decision->membership()) recover(id, *decision);
         }
       }
 
@@ -511,7 +579,7 @@ void StreamServer::pump() {
       //    input and window credits, so no stream monopolises the fleet and
       //    a credit-starved (slow-consumer) stream is skipped without
       //    stalling the others. Credits are consumed here, at dispatch.
-      std::vector<Job> batch;
+      std::vector<InFlight> batch;
       {
         std::lock_guard lk(mu_);
         // Credit-stall accounting: one tick per pump round a stream sat
@@ -525,9 +593,8 @@ void StreamServer::pump() {
           progress = false;
           for (auto& [id, s] : streams_) {
             if (s.credits <= 0 || s.inputs.empty()) continue;
-            batch.push_back(Job{id, s.model_id,
-                                std::move(s.inputs.front().first),
-                                s.inputs.front().second});
+            batch.push_back(
+                InFlight{id, s.model_id, 0, std::move(s.inputs.front())});
             s.inputs.pop_front();
             --s.credits;
             progress = true;
@@ -536,12 +603,11 @@ void StreamServer::pump() {
       }
       if (!batch.empty()) cv_client_.notify_all();  // queue room freed
       for (auto& job : batch) {
-        prepare_lane(ctx, job.stream, next_seq);
-        runtime::dispatch_image(ctx, job.stream, next_seq);
-        runtime::scatter_image(ctx, next_seq, job.input);
-        inflight.push_back(InFlight{job.stream, job.model_id, next_seq,
-                                    std::move(job.input), job.t0});
-        ++next_seq;
+        job.seq = next_seq++;
+        prepare_lane(ctx, job.stream, job.seq, job.input.index);
+        runtime::dispatch_image(ctx, job.stream, job.seq);
+        runtime::scatter_image(ctx, job.seq, job.input.tensor);
+        inflight.push_back(std::move(job));
       }
 
       // 3. Gather the oldest in-flight image (global seq order; later
@@ -552,8 +618,10 @@ void StreamServer::pump() {
         const TenantSpec& tenant =
             fleet_[static_cast<std::size_t>(job.model_id)];
         cnn::Tensor out;
+        runtime::ImageRetryStats retry;
+        const auto gather_t0 = Clock::now();
         const auto gathered =
-            runtime::gather_image(ctx, job.seq, *tenant.model, out);
+            runtime::gather_image(ctx, job.seq, *tenant.model, out, &retry);
         if (gathered == runtime::GatherStatus::kInterrupted) {
           // A death is pending: put the image back (its input survives for
           // re-dispatch) and let the top of the loop run the recovery.
@@ -565,8 +633,15 @@ void StreamServer::pump() {
           break;
         }
         runtime::retire_below(ctx, job.seq + 1);
+        const auto done = Clock::now();
+        const auto us = [](Clock::duration d) {
+          return std::chrono::duration_cast<std::chrono::microseconds>(d)
+              .count();
+        };
+        gather_latency_.record(us(done - gather_t0));
+        image_latency_.record(us(done - job.input.t0));
         const double latency_ms =
-            std::chrono::duration<double, std::milli>(Clock::now() - job.t0)
+            std::chrono::duration<double, std::milli>(done - job.input.t0)
                 .count();
         std::shared_ptr<obs::SloWindow> slo;
         {
@@ -574,6 +649,7 @@ void StreamServer::pump() {
           Stream& s = streams_.at(job.stream);
           s.outputs.push_back(std::move(out));
           s.latency_ms.push_back(latency_ms);
+          s.retries.push_back(retry);
           slo = s.slo;
           runtime::sample_queue_depths(door_, rtx_, registry_);
         }

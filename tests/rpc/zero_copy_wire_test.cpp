@@ -1,15 +1,15 @@
 // Conformance suite of the zero-copy chunk codec: encode_chunk_into must
 // produce byte-identical frames to the legacy tensor-slicing encode_chunk,
 // and decode_chunk_view must agree field-for-field and float-for-float with
-// the owning decode_chunk — over fuzzed geometries, v1/v2/v3 frames, and
-// recycled arena buffers. The whole zero-copy invariant of the data plane
-// rests on these equivalences: if they hold, swapping the copying path for
-// the borrowing one cannot change a single wire byte or blitted float.
+// the owning decode_chunk — over fuzzed geometries, tracked and untracked
+// frames, and recycled arena buffers. The whole zero-copy invariant of the
+// data plane rests on these equivalences: if they hold, swapping the
+// copying path for the borrowing one cannot change a single wire byte or
+// blitted float.
 #include <gtest/gtest.h>
 
 #include "common/require.hpp"
 #include "common/rng.hpp"
-#include "core/serialize.hpp"
 #include "rpc/frame.hpp"
 #include "rpc/wire.hpp"
 #include "runtime/transfer_plan.hpp"
@@ -107,34 +107,6 @@ TEST(ZeroCopyWire, ViewAgreesWithOwningDecodeFuzzed) {
     const cnn::Tensor materialized = view.to_tensor();
     EXPECT_EQ(materialized.data, owning.rows.data);
   }
-}
-
-TEST(ZeroCopyWire, ViewDecodesV1Frames) {
-  // A v1 peer's chunk (no from_node/chunk_id) must view-decode with the
-  // reliability handles defaulted to "untracked", like decode_chunk does.
-  Rng rng(5);
-  const auto rows = random_tensor(3, 4, 2, rng);
-  core::ByteWriter w;
-  w.u32(kWireMagic);
-  w.u16(1);  // wire version 1
-  w.u16(static_cast<std::uint16_t>(MsgType::kHaloRows));
-  w.i32(7);   // seq
-  w.i32(2);   // volume
-  w.i32(11);  // row_offset
-  w.i32(rows.h);
-  w.i32(rows.w);
-  w.i32(rows.c);
-  w.f32_span(rows.data);
-
-  const ChunkView view = decode_chunk_view(w.bytes());
-  EXPECT_EQ(view.seq, 7);
-  EXPECT_EQ(view.volume, 2);
-  EXPECT_EQ(view.row_offset, 11);
-  EXPECT_EQ(view.from_node, kNilNode);
-  EXPECT_EQ(view.chunk_id, 0u);
-  EXPECT_EQ(view.epoch, 0);
-  EXPECT_EQ(view.stream, 0);
-  EXPECT_EQ(view.to_tensor().data, rows.data);
 }
 
 TEST(ZeroCopyWire, CopyRowsToMatchesMaterializedBlit) {

@@ -3,12 +3,15 @@
 // bit-for-bit — across tenants with different models, across mid-stream
 // per-stream strategy swaps (which must never reconfigure another tenant),
 // over InProc and loopback TCP fabrics including faulted and shaped wires —
-// and a slow consumer may stall only its own stream, never the fleet.
+// and a slow consumer may stall only its own stream, never the fleet. A
+// swap lands exactly on the image it was registered before, and a
+// wrong-shaped input is refused at the door instead of downing the fleet.
 #include "serve/stream_server.hpp"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
 #include <thread>
 
 #include "core/strategy.hpp"
@@ -256,6 +259,95 @@ TEST(StreamServer, SlowConsumerStallsOnlyItsOwnStream) {
   }
 }
 
+TEST(StreamServer, WrongShapedSubmitIsRefusedAtTheDoor) {
+  // One client's malformed tensor must be refused by submit(): it may reach
+  // neither the pump (a short image fails the scatter encode there) nor a
+  // provider (a wide one fails chunk geometry there) — either would take
+  // every tenant down with it.
+  Harness h(2, /*use_tcp=*/false);
+  Rng rng(101);
+  const int bad = h.server->open_stream(0);
+  const int good = h.server->open_stream(1);
+  ASSERT_GE(bad, 0);
+  ASSERT_GE(good, 0);
+  EXPECT_FALSE(h.server->submit(
+      bad, cnn::Tensor(h.ma.input_h() - 3, h.ma.input_w(), h.ma.input_c())));
+  EXPECT_FALSE(h.server->submit(
+      bad, cnn::Tensor(h.ma.input_h(), h.ma.input_w() + 2, h.ma.input_c())));
+  EXPECT_FALSE(h.server->submit(bad, random_inputs(h.mb, 1, rng).front()));
+
+  // The other tenant's stream still delivers bit-exact...
+  run_and_check_stream(h, good, 1, random_inputs(h.mb, 4, rng));
+  // ...and so does the refused stream, once its inputs fit.
+  run_and_check_stream(h, bad, 0, random_inputs(h.ma, 2, rng));
+  EXPECT_FALSE(h.server->down());
+  EXPECT_EQ(h.server->snapshot(bad).submitted, 2);
+}
+
+TEST(StreamServer, SwapsLandOnTheirSubmissionIndex) {
+  // swap_strategy() takes effect from the stream's next *submitted* image,
+  // however far dispatch lags behind submission: one stream runs flat out
+  // while the other's consumer stalls until the first is done, so its
+  // producer keeps swapping into a backed-up window.
+  Harness h(2, /*use_tcp=*/false);
+  Rng rng(103);
+  const int fast = h.server->open_stream(0);
+  const int slow = h.server->open_stream(1);
+  ASSERT_GE(fast, 0);
+  ASSERT_GE(slow, 0);
+  // A strategy that does not fit is refused to the caller, not the pump.
+  EXPECT_THROW(h.server->swap_strategy(fast, sim::RawStrategy{}), Error);
+
+  const auto in_fast = random_inputs(h.ma, 12, rng);
+  const auto in_slow = random_inputs(h.mb, 10, rng);
+  const std::map<int, sim::RawStrategy> fast_swaps{
+      {4, weighted_strategy(h.ma, {0, 3, 5}, {3.0, 1.0})},
+      {9, weighted_strategy(h.ma, {0, 2, 5}, {1.0, 2.0})}};
+  const std::map<int, sim::RawStrategy> slow_swaps{
+      {2, weighted_strategy(h.mb, {0, 1, 3}, {1.0, 3.0})},
+      {6, weighted_strategy(h.mb, {0, 3}, {2.0, 1.0})}};
+  const auto produce = [&h](int stream,
+                            const std::vector<cnn::Tensor>& inputs,
+                            const std::map<int, sim::RawStrategy>& swaps) {
+    for (std::size_t k = 0; k < inputs.size(); ++k) {
+      if (auto it = swaps.find(static_cast<int>(k)); it != swaps.end()) {
+        h.server->swap_strategy(stream, it->second);
+      }
+      ASSERT_TRUE(h.server->submit(stream, inputs[k]));
+    }
+  };
+  const auto consume = [&h](int stream, int model_id,
+                            const std::vector<cnn::Tensor>& inputs) {
+    for (std::size_t k = 0; k < inputs.size(); ++k) {
+      auto out = h.server->pop(stream);
+      ASSERT_TRUE(out.has_value()) << "stream " << stream << " image " << k;
+      expect_equal(*out,
+                   runtime::run_reference(h.model(model_id),
+                                          h.weights(model_id), inputs[k]),
+                   "stream " + std::to_string(stream) + " image " +
+                       std::to_string(k));
+    }
+  };
+  std::thread fast_producer([&] { produce(fast, in_fast, fast_swaps); });
+  std::thread slow_producer([&] { produce(slow, in_slow, slow_swaps); });
+  consume(fast, 0, in_fast);  // the slow stream's consumer is stalled
+  fast_producer.join();
+  consume(slow, 1, in_slow);
+  slow_producer.join();
+
+  for (const auto& [stream, swaps] :
+       {std::pair{fast, &fast_swaps}, std::pair{slow, &slow_swaps}}) {
+    const auto snap = h.server->snapshot(stream);
+    EXPECT_EQ(snap.epochs_pushed, 1 + static_cast<int>(swaps->size()));
+    ASSERT_EQ(snap.reconfigurations.size(), swaps->size());
+    auto expected = swaps->begin();
+    for (const auto& event : snap.reconfigurations) {
+      EXPECT_EQ(event.from_image, (expected++)->first)
+          << "stream " << stream << " epoch " << event.epoch;
+    }
+  }
+}
+
 TEST(StreamServer, AdmissionControl) {
   StreamServerOptions options;
   options.max_streams = 2;
@@ -418,7 +510,6 @@ TEST(StreamServer, StreamsSurviveFleetChurn) {
         device::make_latency_model(device::DeviceType::kNano));
   }
   config.network = net::Network(3, 100.0);
-  config.poll_ms = 2;
   config.lease_ms = 80;
   config.drift_threshold = 1e9;  // membership decisions only
   ctrl::Controller controller(config);
