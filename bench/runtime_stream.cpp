@@ -1,29 +1,28 @@
-// Streaming throughput of the real data plane, A/B'd in one run: the PR-3
-// serial copying chunk path (kSerialCopy — receive-all -> compute-all ->
-// send-all, slice/encode/decode/blit copies, per-chunk allocations) versus
-// the zero-copy halo-first overlapped plane (kOverlapZeroCopy — arena
-// frames, wire-byte blits, boundary-band-first compute with a dedicated
-// sender thread). Both paths are bit-exact by construction (the outputs are
-// cross-checked here too), so the only difference is data-plane cost.
+// Streaming throughput of the real data plane: the zero-copy halo-first
+// plane (arena frames, wire-byte blits, boundary-band-first compute with a
+// dedicated sender thread) serving a pipelined stream over loopback TCP.
+// Every delivered image is checked bit-exact against the single-device
+// reference; the exit status reports that check.
 //
 // The workload is the zoo's edge tier (edgenet by default) under a
 // DistrEdge-style network-adaptive strategy: every layer is its own volume
 // and consecutive volumes use staggered cuts, so each boundary genuinely
 // redistributes rows between devices — the regime edge clusters live in,
 // where the data plane (not FLOPs) bounds IPS. Results land in
-// BENCH_stream.json: measured IPS both ways, speedup, wire bytes, copies
+// BENCH_stream.json: measured IPS (best of the laps), wire bytes, copies
 // per halo byte, and frame-buffer allocations per image.
 //
 //   bench_runtime_stream [--quick] [--out PATH] [--images N]
 //                        [--model NAME] [--devices N] [--inflight K]
 //
-// --quick shrinks the image count (CI smoke). Loopback TCP throughout —
-// chunks really cross the kernel's TCP stack.
+// --quick shrinks the image count and lap count (CI smoke). Loopback TCP
+// throughout — chunks really cross the kernel's TCP stack.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cnn/model_zoo.hpp"
@@ -57,21 +56,6 @@ sim::RawStrategy staggered_strategy(const cnn::CnnModel& m, int n_devices) {
     strategy.cuts.push_back(std::move(cuts));
   }
   return strategy;
-}
-
-struct ModeResult {
-  double ips = 0;
-  double wall_s = 0;
-  runtime::ServeResult serve;
-};
-
-bool outputs_equal(const std::vector<cnn::Tensor>& a,
-                   const std::vector<cnn::Tensor>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    if (a[k].data != b[k].data) return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -128,58 +112,54 @@ int main(int argc, char** argv) {
               static_cast<int>(strategy.volumes.size()), n_devices, inflight,
               n_images);
 
-  const auto run_mode = [&](runtime::DataPlaneMode mode) {
+  const auto run_lap = [&] {
     runtime::ServeOptions options;
     options.use_tcp = true;
     options.inflight = inflight;
-    options.keep_outputs = true;  // cross-checked below
-    options.data_plane = mode;
-    ModeResult r;
-    r.serve = runtime::serve_stream(model, strategy, weights, images,
-                                    n_devices, options);
-    r.ips = r.serve.measured_ips;
-    r.wall_s = r.serve.wall_s;
-    return r;
+    options.keep_outputs = true;  // checked against the reference below
+    return runtime::serve_stream(model, strategy, weights, images, n_devices,
+                                 options);
   };
-
-  // Warm-up lap (page cache, TCP handshakes, malloc arenas), then measure
-  // both planes interleaved, best-of-N each — the same discipline
-  // bench_kernel_scaling uses, so one noisy lap on a busy host cannot skew
-  // the A/B ratio either way.
-  (void)run_mode(runtime::DataPlaneMode::kOverlapZeroCopy);
-  const int laps = quick ? 1 : 3;
-  ModeResult serial, overlap;
-  for (int lap = 0; lap < laps; ++lap) {
-    auto s = run_mode(runtime::DataPlaneMode::kSerialCopy);
-    auto o = run_mode(runtime::DataPlaneMode::kOverlapZeroCopy);
-    if (lap == 0 || s.ips > serial.ips) serial = std::move(s);
-    if (lap == 0 || o.ips > overlap.ips) overlap = std::move(o);
+  std::vector<cnn::Tensor> references;
+  references.reserve(images.size());
+  for (const auto& image : images) {
+    references.push_back(runtime::run_reference(model, weights, image));
   }
-  const bool exact = outputs_equal(serial.serve.outputs, overlap.serve.outputs);
-  const double speedup = serial.ips > 0 ? overlap.ips / serial.ips : 0.0;
-
-  const auto describe = [&](const char* name, const ModeResult& r) {
-    const double copies =
-        r.serve.bytes_moved > 0
-            ? static_cast<double>(r.serve.bytes_copied) /
-                  static_cast<double>(r.serve.bytes_moved)
-            : 0.0;
-    std::printf("%-18s: %7.2f IPS  wall %.3fs  %lld msgs  %.2f MiB payload  "
-                "%.2f MiB wire  %.2f copies/halo-byte  %lld frame allocs "
-                "(%.2f/image)\n",
-                name, r.ips, r.wall_s,
-                static_cast<long long>(r.serve.messages_exchanged),
-                static_cast<double>(r.serve.bytes_moved) / (1 << 20),
-                static_cast<double>(r.serve.wire_bytes) / (1 << 20), copies,
-                static_cast<long long>(r.serve.frame_allocs),
-                static_cast<double>(r.serve.frame_allocs) / n_images);
-    return copies;
+  const auto bit_exact = [&](const runtime::ServeResult& r) {
+    if (r.outputs.size() != references.size()) return false;
+    for (std::size_t k = 0; k < references.size(); ++k) {
+      if (r.outputs[k].data != references[k].data) return false;
+    }
+    return true;
   };
-  const double serial_copies = describe("serial-copy", serial);
-  const double overlap_copies = describe("overlap-zero-copy", overlap);
-  std::printf("\nspeedup (overlap-zero-copy vs serial-copy): %.2fx, "
-              "bit-exact outputs: %s\n",
-              speedup, exact ? "yes" : "NO");
+
+  // Warm-up lap (page cache, TCP handshakes, malloc arenas), then best-of-N
+  // — the same discipline bench_kernel_scaling uses, so one noisy lap on a
+  // busy host cannot set the figure.
+  bool exact = bit_exact(run_lap());
+  const int laps = quick ? 1 : 3;
+  runtime::ServeResult best;
+  for (int lap = 0; lap < laps; ++lap) {
+    auto r = run_lap();
+    exact = exact && bit_exact(r);
+    if (lap == 0 || r.measured_ips > best.measured_ips) best = std::move(r);
+  }
+
+  const double copies = best.bytes_moved > 0
+                            ? static_cast<double>(best.bytes_copied) /
+                                  static_cast<double>(best.bytes_moved)
+                            : 0.0;
+  const double allocs_per_image =
+      static_cast<double>(best.frame_allocs) / n_images;
+  std::printf("%7.2f IPS  wall %.3fs  %lld msgs  %.2f MiB payload  "
+              "%.2f MiB wire  %.2f copies/halo-byte  %lld frame allocs "
+              "(%.2f/image)\nbit-exact vs reference: %s\n",
+              best.measured_ips, best.wall_s,
+              static_cast<long long>(best.messages_exchanged),
+              static_cast<double>(best.bytes_moved) / (1 << 20),
+              static_cast<double>(best.wire_bytes) / (1 << 20), copies,
+              static_cast<long long>(best.frame_allocs), allocs_per_image,
+              exact ? "yes" : "NO");
 
   FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
@@ -189,6 +169,8 @@ int main(int argc, char** argv) {
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"runtime_stream\",\n");
   std::fprintf(f, "  \"mode\": \"%s\",\n", quick ? "quick" : "full");
+  std::fprintf(f, "  \"hardware_threads\": %u,\n",
+               std::thread::hardware_concurrency());
   std::fprintf(f,
                "  \"workload\": {\"model\": \"%s\", \"gflop_per_image\": %.6f, "
                "\"images\": %d, \"devices\": %d, \"inflight\": %d, "
@@ -197,28 +179,20 @@ int main(int argc, char** argv) {
                model.name().c_str(),
                static_cast<double>(model.conv_chain_ops()) * 1e-9, n_images,
                n_devices, inflight, static_cast<int>(strategy.volumes.size()));
-  std::fprintf(f, "  \"bit_exact_across_modes\": %s,\n",
+  std::fprintf(f, "  \"bit_exact_vs_reference\": %s,\n",
                exact ? "true" : "false");
-  const auto emit = [&](const char* key, const ModeResult& r, double copies) {
-    std::fprintf(f,
-                 "  \"%s\": {\"ips\": %.3f, \"wall_s\": %.4f, "
-                 "\"messages\": %lld, \"payload_bytes\": %lld, "
-                 "\"wire_bytes\": %lld, \"bytes_copied\": %lld, "
-                 "\"copies_per_halo_byte\": %.3f, \"frame_allocs\": %lld, "
-                 "\"frame_allocs_per_image\": %.3f}",
-                 key, r.ips, r.wall_s,
-                 static_cast<long long>(r.serve.messages_exchanged),
-                 static_cast<long long>(r.serve.bytes_moved),
-                 static_cast<long long>(r.serve.wire_bytes),
-                 static_cast<long long>(r.serve.bytes_copied), copies,
-                 static_cast<long long>(r.serve.frame_allocs),
-                 static_cast<double>(r.serve.frame_allocs) / n_images);
-  };
-  emit("serial_copy_baseline", serial, serial_copies);
-  std::fprintf(f, ",\n");
-  emit("overlap_zero_copy", overlap, overlap_copies);
-  std::fprintf(f, ",\n");
-  std::fprintf(f, "  \"speedup_overlap_vs_serial\": %.3f\n", speedup);
+  std::fprintf(f,
+               "  \"overlap_zero_copy\": {\"ips\": %.3f, \"wall_s\": %.4f, "
+               "\"messages\": %lld, \"payload_bytes\": %lld, "
+               "\"wire_bytes\": %lld, \"bytes_copied\": %lld, "
+               "\"copies_per_halo_byte\": %.3f, \"frame_allocs\": %lld, "
+               "\"frame_allocs_per_image\": %.3f}\n",
+               best.measured_ips, best.wall_s,
+               static_cast<long long>(best.messages_exchanged),
+               static_cast<long long>(best.bytes_moved),
+               static_cast<long long>(best.wire_bytes),
+               static_cast<long long>(best.bytes_copied), copies,
+               static_cast<long long>(best.frame_allocs), allocs_per_image);
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());

@@ -103,7 +103,6 @@ AttributionReport attribute_critical_paths(const MergedTrace& merged) {
         img.gather_hi = img.have_gather ? std::max(img.gather_hi, hi) : hi;
         img.have_gather = true;
         break;
-      case Cat::kCompute:
       case Cat::kComputeBand:
         if (ev.node >= 0) img.compute[ev.node].push_back({lo, hi});
         break;

@@ -8,7 +8,7 @@
 // Model: for one image, the requester's kScatter span opens the window and
 // its kGather span closes it. Among the provider devices that touched the
 // image, the *critical device* is the one whose work chain (kAssemble
-// input wait+blit, kCompute / kComputeBand) ends last — every other
+// input wait+blit, kComputeBand) ends last — every other
 // device's result was already waiting, so the gather could not close
 // before its rows arrived; the straggler score counts how often each
 // device closed a critical path. The window [scatter begin, gather end]
@@ -18,11 +18,10 @@
 // window, not total device-time), then assemble (halo/input wait) time
 // not hidden by compute, then the tail from the last provider event to
 // gather end as gather_wait. What no span covers is reported as
-// `unattributed_us`, never
-// silently folded into a component — with a serial data plane and
-// in-flight window 1 the residue is small (the acceptance test bounds it
-// at 5% of e2e); with deep pipelining queuing gaps legitimately dominate
-// and the residue says so.
+// `unattributed_us`, never silently folded into a component — at in-flight
+// window 1 the residue is small (the acceptance test bounds it at 5% of
+// e2e); with deep pipelining queuing gaps legitimately dominate and the
+// residue says so.
 //
 // Works on a MergedTrace so cross-node timestamps are already on one
 // clock (trace_export.hpp's ClockSyncBook rebase).

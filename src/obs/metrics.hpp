@@ -10,11 +10,10 @@
 // coarse by design (buckets are exact-count, percentiles are estimates with
 // bounded relative error <= 2x) and O(64) memory per histogram forever.
 //
-// The registry is the single naming authority for the runtime's stats: the
-// serial and overlap data planes, and the finite-run and streaming paths,
-// all fold into the same canonical metric names (runtime/serve.cpp and
-// runtime/cluster.cpp share fold_data_plane_metrics), so dashboards and
-// tests never chase per-path field drift again.
+// The registry is the single naming authority for the runtime's stats:
+// every entry point folds into the same canonical metric names (they share
+// fold_data_plane_metrics), so dashboards and tests never chase per-path
+// field drift again.
 #pragma once
 
 #include <array>

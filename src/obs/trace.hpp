@@ -42,8 +42,9 @@ enum class Cat : std::uint16_t {
   kScatter = 0,      ///< requester: encode+post one image's volume-0 inputs
   kGather,           ///< requester: wait+blit one image's output rows
   kAssemble,         ///< provider: wait for + blit one volume's input crop
-  kCompute,          ///< provider: one volume's whole-part compute (serial)
-  kComputeBand,      ///< provider: one halo-first band (overlap)
+  kCompute,          ///< retired: never emitted (kept for its number and
+                     ///< because the benchmark harness names it)
+  kComputeBand,      ///< provider: one halo-first compute band
   kHaloPost,         ///< provider: encode one halo/gather band into a frame
   kSenderWrite,      ///< ChunkSender thread: one blocking transport write
   kTxSyscall,        ///< TCP transport: one sendmsg (header+payload)

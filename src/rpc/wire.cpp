@@ -23,7 +23,8 @@ MsgType read_header(core::ByteReader& r) {
   DE_REQUIRE(r.u16() == kWireVersion, "wire: unsupported version");
   const auto raw = r.u16();
   DE_REQUIRE(raw >= static_cast<std::uint16_t>(MsgType::kScatter) &&
-                 raw <= static_cast<std::uint16_t>(MsgType::kLaneEvict),
+                 raw <= static_cast<std::uint16_t>(MsgType::kLaneEvict) &&
+                 raw != 2,  // unassigned (see MsgType)
              "wire: unknown message type");
   return static_cast<MsgType>(raw);
 }
@@ -99,17 +100,6 @@ std::size_t encode_chunk_into(Frame& frame, MsgType type, std::int32_t seq,
   encode_chunk_body(w, type, seq, volume, rows.begin, from_node, chunk_id,
                     epoch, stream, rows.size(), src.w, src.c, payload);
   return payload.size() * 4;
-}
-
-Payload encode_halo_request(const HaloRequestMsg& msg) {
-  core::ByteWriter w;
-  write_header(w, MsgType::kHaloRequest);
-  w.i32(msg.seq);
-  w.i32(msg.volume);
-  w.i32(msg.begin);
-  w.i32(msg.end);
-  w.i32(msg.from_node);
-  return w.take();
 }
 
 Payload encode_shutdown() {
@@ -219,23 +209,6 @@ void copy_rows_to(const ChunkView& view, int src_begin, int src_end,
       dst.data.data() +
           static_cast<std::size_t>(src_begin - dst_offset) * row_floats,
       static_cast<std::size_t>(src_end - src_begin) * row_floats));
-}
-
-HaloRequestMsg decode_halo_request(std::span<const std::uint8_t> frame) {
-  core::ByteReader r(frame);
-  DE_REQUIRE(read_header(r) == MsgType::kHaloRequest,
-             "wire: frame is not a halo request");
-  HaloRequestMsg msg;
-  msg.seq = r.i32();
-  msg.volume = r.i32();
-  msg.begin = r.i32();
-  msg.end = r.i32();
-  msg.from_node = r.i32();
-  DE_REQUIRE(r.exhausted(), "wire: trailing bytes after halo request");
-  DE_REQUIRE(msg.seq >= 0 && msg.volume >= 0 && msg.begin >= 0 &&
-                 msg.end >= msg.begin && msg.from_node >= 0,
-             "wire: malformed halo request fields");
-  return msg;
 }
 
 AckMsg decode_ack(std::span<const std::uint8_t> frame) {

@@ -19,8 +19,6 @@
 //     i32 stream       serving stream (tenant) the image belongs to
 //     i32 h, i32 w, i32 c
 //     f32 * (h*w*c)    row-major HWC floats as raw IEEE-754 bit patterns
-//   kHaloRequest:
-//     i32 seq, i32 volume, i32 begin, i32 end, i32 from_node
 //   kShutdown:
 //     (empty body)
 //   kAck:
@@ -83,7 +81,8 @@ inline constexpr std::uint16_t kWireVersion = 6;
 
 enum class MsgType : std::uint16_t {
   kScatter = 1,      ///< requester -> provider: volume-0 input rows
-  kHaloRequest = 2,  ///< provider -> provider: pull request for halo rows
+  // 2 is unassigned (halos are pushed; there is no pull request) and
+  // decoders reject it like any unknown type.
   kHaloRows = 3,     ///< provider -> provider: halo rows between volumes
   kGather = 4,       ///< provider -> requester: final-volume output rows
   kShutdown = 5,     ///< requester -> provider: end of stream
@@ -117,16 +116,6 @@ struct ChunkMsg {
   std::int32_t epoch = 0;   ///< strategy epoch of the chunk's image
   std::int32_t stream = 0;  ///< serving stream (tenant) of the image
   cnn::Tensor rows;
-};
-
-/// Pull request for rows [begin, end) of volume `volume`'s input; the
-/// holder answers with a kHaloRows chunk addressed to `from_node`.
-struct HaloRequestMsg {
-  std::int32_t seq = 0;
-  std::int32_t volume = 0;
-  std::int32_t begin = 0;
-  std::int32_t end = 0;
-  NodeId from_node = kNilNode;
 };
 
 /// "Chunk `chunk_id` from you reached me" — sent to the original sender's
@@ -328,7 +317,6 @@ MsgType peek_type(std::span<const std::uint8_t> frame);
 bool is_chunk_type(MsgType t);
 
 Payload encode_chunk(const ChunkMsg& msg);
-Payload encode_halo_request(const HaloRequestMsg& msg);
 Payload encode_shutdown();
 Payload encode_ack(const AckMsg& msg);
 Payload encode_nack(const NackMsg& msg);
@@ -357,7 +345,6 @@ std::size_t encode_chunk_into(Frame& frame, MsgType type, std::int32_t seq,
 
 ChunkMsg decode_chunk(std::span<const std::uint8_t> frame);
 ChunkView decode_chunk_view(std::span<const std::uint8_t> frame);
-HaloRequestMsg decode_halo_request(std::span<const std::uint8_t> frame);
 AckMsg decode_ack(std::span<const std::uint8_t> frame);
 NackMsg decode_nack(std::span<const std::uint8_t> frame);
 TelemetryMsg decode_telemetry(std::span<const std::uint8_t> frame);

@@ -22,7 +22,6 @@ ClusterResult run_once(const cnn::CnnModel& model,
   serve.reliability = options.reliability;
   serve.faults = options.faults;
   serve.exec = options.exec;
-  serve.data_plane = options.data_plane;
   ServeResult served = serve_stream(model, strategy, weights,
                                     std::span<const cnn::Tensor>(&input, 1),
                                     n_devices, serve);

@@ -38,10 +38,6 @@ struct RunOptions {
   /// gathered output is engine-independent; it defaults on so every worker
   /// uses the packed kernels + shared-pool row bands.
   cnn::ExecContext exec = cnn::ExecContext::fast_shared();
-  /// Chunk path: halo-first zero-copy (default) or the serial copying
-  /// baseline. Both are bit-exact; the baseline exists for in-run A/B
-  /// benches and the conformance tests.
-  DataPlaneMode data_plane = DataPlaneMode::kOverlapZeroCopy;
 };
 
 struct ClusterResult {

@@ -24,15 +24,6 @@ const EpochPlan& EpochTable::at(int seq) const {
   return *epochs_.front();  // unreachable
 }
 
-const EpochPlan* EpochTable::after(int seq) const {
-  const EpochPlan* next = nullptr;
-  for (auto it = epochs_.rbegin(); it != epochs_.rend(); ++it) {
-    if ((*it)->from_seq <= seq) break;
-    next = it->get();
-  }
-  return next;
-}
-
 bool EpochTable::knows(int epoch) const {
   for (const auto& e : epochs_) {
     if (e->epoch == epoch) return true;

@@ -53,10 +53,6 @@ class EpochTable {
   /// re-check after every registration (see provider_loop_multi).
   const EpochPlan& at(int seq) const;
 
-  /// The epoch following the one serving `seq`, or nullptr if none is known
-  /// yet.
-  const EpochPlan* after(int seq) const;
-
   /// Latest registered epoch id.
   int latest() const { return epochs_.back()->epoch; }
   /// Oldest retained epoch id.

@@ -21,6 +21,12 @@
 
 namespace de::runtime {
 
+/// A tag with one value that selects nothing: the runtime has one data
+/// plane. It stays only as a parameter of make_fabric and
+/// spawn_providers_multi because the benchmark harness (distbench/) passes
+/// it positionally to both.
+enum class DataPlaneMode { kOverlapZeroCopy };
+
 /// Owns the per-node transports of one cluster run.
 struct ClusterFabric {
   std::unique_ptr<rpc::InProcFabric> inproc;
@@ -63,12 +69,10 @@ struct ClusterFabric {
 /// decisions still differ per link — the hash keys on src/dst node ids).
 /// With `shaping` set every endpoint is additionally wrapped (outermost) in
 /// a ShapedTransport, all sharing one trace-time origin so the regime
-/// switches of every link line up. In kSerialCopy mode TCP endpoints run
-/// their legacy per-frame I/O, so the A/B baseline is the pre-change plane
-/// down to the syscalls.
+/// switches of every link line up. The DataPlaneMode tag is ignored.
 ClusterFabric make_fabric(int n_devices, bool use_tcp,
                           const rpc::FaultSpec* faults = nullptr,
-                          DataPlaneMode mode = DataPlaneMode::kOverlapZeroCopy,
+                          DataPlaneMode = {},
                           const rpc::ShapingSpec* shaping = nullptr);
 
 /// One provider thread per device, each running provider_loop_multi over
@@ -84,12 +88,12 @@ ClusterFabric make_fabric(int n_devices, bool use_tcp,
 /// 0 each provider publishes a kTelemetry frame to the requester's
 /// telemetry mailbox every that many images (link rates come from the
 /// node's shaper when the fabric is shaped); with `heartbeat_ms` > 0 it
-/// additionally publishes periodic kHeartbeat lease renewals there.
+/// additionally publishes periodic kHeartbeat lease renewals there. The
+/// DataPlaneMode tag is ignored.
 Supervisor spawn_providers_multi(
     ClusterFabric& fabric, int n_devices, std::span<const TenantModel> fleet,
     DataPlaneStats& stats, const ReliabilityOptions& reliability = {},
-    const cnn::ExecContext& exec = {},
-    DataPlaneMode mode = DataPlaneMode::kOverlapZeroCopy,
+    const cnn::ExecContext& exec = {}, DataPlaneMode = {},
     int telemetry_every = 0, int heartbeat_ms = 0, int max_restarts = 0);
 
 }  // namespace de::runtime

@@ -49,14 +49,13 @@ ServeResult serve_stream(const cnn::CnnModel& model,
           : (options.controller != nullptr || options.trace != nullptr ? 1
                                                                        : 0);
 
-  auto fabric = make_fabric(n_devices, options.use_tcp, options.faults,
-                            options.data_plane, options.shaping);
+  auto fabric = make_fabric(n_devices, options.use_tcp, options.faults, {},
+                            options.shaping);
   DataPlaneStats stats;
   const std::vector<TenantModel> tenants{{&model, &weights}};
   Supervisor supervisor = spawn_providers_multi(
-      fabric, n_devices, tenants, stats, options.reliability, options.exec,
-      options.data_plane, telemetry_every, options.heartbeat_ms,
-      options.provider_max_restarts);
+      fabric, n_devices, tenants, stats, options.reliability, options.exec, {},
+      telemetry_every, options.heartbeat_ms, options.provider_max_restarts);
 
   // Teardown on every path: close the door (drains in-flight images and
   // releases the providers with kShutdown), close the fabric (releases any
@@ -81,7 +80,6 @@ ServeResult serve_stream(const cnn::CnnModel& model,
   door.max_streams = 1;
   door.default_window = options.inflight;
   door.reliability = options.reliability;
-  door.mode = options.data_plane;
   door.admin = options.admin;
   door.slo_ms = options.slo_ms;
   door.node_origins = &fabric.node_origin_us;

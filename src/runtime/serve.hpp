@@ -80,11 +80,6 @@ struct ServeOptions {
   /// fast default is what makes measured IPS track what the hardware allows).
   cnn::ExecContext exec = cnn::ExecContext::fast_shared();
 
-  /// Chunk path: halo-first zero-copy (default) or the serial copying
-  /// baseline — bit-exact either way; bench/runtime_stream A/Bs the two in
-  /// one run.
-  DataPlaneMode data_plane = DataPlaneMode::kOverlapZeroCopy;
-
   /// When both are set, `predicted_ips` is filled from sim::stream_images
   /// (sequential-stream semantics — the pipeline should beat it). A fault
   /// plan is mirrored into the simulator's analytic loss model so the

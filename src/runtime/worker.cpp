@@ -104,7 +104,7 @@ RxKind receive_frame(RxState& rx, RxChunk& out,
       }
     }
     if (!rpc::is_chunk_type(type)) {
-      return RxKind::kSkip;  // halo requests (push-based plan), stray control
+      return RxKind::kSkip;  // stray control frame
     }
     // Borrowed decode: the view aliases the frame's buffer, which stays
     // put when the frame is moved into the result.
@@ -245,23 +245,14 @@ constexpr std::size_t kMaxPendingChunks = 4096;
               " timeout rounds) — peer dead or link severed past recovery");
 }
 
-/// Blits a received chunk into `dst`. The zero-copy path reads the wire
-/// bytes in place (one copy); the serial path first materializes the legacy
-/// owning tensor and then blits it — the pre-change double copy, preserved
-/// so the A/B baseline pays its true cost. Both count into bytes_copied.
+/// Blits a received chunk into `dst`, reading the wire bytes in place (one
+/// copy, counted into bytes_copied).
 void blit_chunk(const RxChunk& chunk, cnn::Tensor& dst, int dst_offset,
-                DataPlaneMode mode, DataPlaneStats& stats) {
+                DataPlaneStats& stats) {
   const auto& v = chunk.view;
-  const auto payload = static_cast<Bytes>(v.payload_bytes());
-  if (mode == DataPlaneMode::kOverlapZeroCopy) {
-    rpc::copy_rows_to(v, v.row_offset, v.row_offset + v.h, dst, dst_offset);
-    stats.bytes_copied.fetch_add(payload, std::memory_order_relaxed);
-    return;
-  }
-  const cnn::Tensor rows = v.to_tensor();
-  blit_rows(rows, v.row_offset, v.row_offset, v.row_offset + v.h, dst,
-            dst_offset);
-  stats.bytes_copied.fetch_add(2 * payload, std::memory_order_relaxed);
+  rpc::copy_rows_to(v, v.row_offset, v.row_offset + v.h, dst, dst_offset);
+  stats.bytes_copied.fetch_add(static_cast<Bytes>(v.payload_bytes()),
+                               std::memory_order_relaxed);
 }
 
 /// Resizes `t` to (h, w, c) reusing its heap buffer (no zero fill — callers
@@ -320,7 +311,7 @@ struct StreamLane {
   const cnn::CnnModel* model = nullptr;
   const std::vector<cnn::ConvWeights>* weights = nullptr;
   EpochTable epochs;
-  /// Halo-first schedules per epoch id (overlap mode, built on first use).
+  /// Halo-first schedules per epoch id (built on first use).
   std::map<int, std::vector<PartSchedule>> schedules;
 };
 
@@ -575,26 +566,6 @@ struct ProviderState {
   }
 };
 
-/// Encodes and posts a chunk, updating `stats`. With `rtx` set the chunk is
-/// stamped (from_node, chunk_id) and tracked for retransmission until acked.
-void post_chunk(rpc::Transport& transport, const rpc::Address& to,
-                rpc::ChunkMsg msg, DataPlaneStats& stats, Retransmitter* rtx) {
-  const auto payload =
-      static_cast<Bytes>(msg.rows.size()) * static_cast<Bytes>(sizeof(float));
-  stats.messages.fetch_add(1, std::memory_order_relaxed);
-  stats.bytes.fetch_add(payload, std::memory_order_relaxed);
-  stats.bytes_copied.fetch_add(payload, std::memory_order_relaxed);  // encode
-  if (rtx != nullptr) {
-    msg.from_node = transport.local_node();
-    msg.chunk_id = rtx->next_chunk_id(to.node);
-  }
-  rpc::Frame frame(rpc::encode_chunk(msg));
-  stats.wire_bytes.fetch_add(static_cast<Bytes>(frame.size()),
-                             std::memory_order_relaxed);
-  if (rtx != nullptr) rtx->track(to, msg.chunk_id, frame);  // refcount share
-  transport.send(to, std::move(frame));
-}
-
 /// Posts one front-door announcement to provider `to`'s data mailbox. With
 /// ctx.rtx set it is stamped and tracked exactly like a tensor chunk (the
 /// receiver acks it on the same path), so it survives the same faults the
@@ -621,20 +592,17 @@ ImageOutcome process_image(
     ProviderState& state, RxState& rx, rpc::Transport& transport,
     StreamLane& lane, int seq, DataPlaneStats& stats,
     const ReliabilityOptions& reliability, cnn::ExecContext& exec_ctx,
-    DataPlaneMode mode, rpc::FrameArena& arena,
-    std::optional<ChunkSender>& sender, Retransmitter* rtx,
-    cnn::Tensor& crop_buf, cnn::Tensor (&out_bufs)[2], int& cur_buf,
+    rpc::FrameArena& arena, ChunkSender& sender, Retransmitter* rtx,
+    cnn::Tensor& crop, cnn::Tensor (&out_bufs)[2], int& cur_buf,
     double& compute_ms) {
   const int i = state.i;
   const cnn::CnnModel& model = *lane.model;
   const std::vector<cnn::ConvWeights>& weights = *lane.weights;
-  const bool overlap = mode == DataPlaneMode::kOverlapZeroCopy;
   const EpochPlan& ep = lane.epochs.at(seq);  // deque-backed: stays valid
   const TransferPlan& plan = ep.plan;
   const sim::RawStrategy& strategy = ep.strategy;
   const int n_volumes = plan.num_volumes();
 
-  cnn::Tensor legacy_prev;           // serial mode's previous-part output
   const cnn::Tensor* prev_out = nullptr;
   cnn::RowInterval prev_rows{0, 0};  // which absolute rows prev_out holds
 
@@ -657,14 +625,7 @@ ImageOutcome process_image(
     }
 
     const auto& first_layer = model.layer(volume.first);
-    cnn::Tensor legacy_crop;
-    if (overlap) {
-      reshape(crop_buf, need.size(), first_layer.in_w, first_layer.in_c);
-    } else {
-      legacy_crop =
-          cnn::Tensor(need.size(), first_layer.in_w, first_layer.in_c);
-    }
-    cnn::Tensor& crop = overlap ? crop_buf : legacy_crop;
+    reshape(crop, need.size(), first_layer.in_w, first_layer.in_c);
 
     // Assemble phase: local blit + remote chunk waits, one span per volume.
     // std::optional so the span closes before the compute span opens.
@@ -694,7 +655,7 @@ ImageOutcome process_image(
         if (!chunk_fits(chunk.view, need, crop.w, crop.c)) {
           fail_geometry(chunk.view);
         }
-        blit_chunk(chunk, crop, need.begin, mode, stats);
+        blit_chunk(chunk, crop, need.begin, stats);
         --remaining;
       }
       state.stash.erase(it);
@@ -740,88 +701,44 @@ ImageOutcome process_image(
       if (!chunk_fits(chunk.view, need, crop.w, crop.c)) {
         fail_geometry(chunk.view);
       }
-      blit_chunk(chunk, crop, need.begin, mode, stats);
+      blit_chunk(chunk, crop, need.begin, stats);
       --remaining;
     }
 
     assemble.reset();  // inputs complete; the rest of the volume is compute
 
-    double t_compute = 0;
     const auto t0 = std::chrono::steady_clock::now();
-    if (overlap) {
-      // Halo-first banded compute: boundary bands land in `out` first and
-      // their chunks ship through the sender thread while the interior
-      // bands still run — the transport writes overlap the SSE kernels.
-      cnn::Tensor& out = out_bufs[cur_buf];
-      reshape(out, part.size(), layers.back().out_w(), layers.back().out_c);
-      const auto& sched =
-          state.schedules_for(lane, ep)[static_cast<std::size_t>(l)];
-      std::size_t next_send = 0;
-      for (std::size_t b = 0; b < sched.bands.size(); ++b) {
-        {
-          obs::SpanScope band(obs::Cat::kComputeBand, seq, l, ep.epoch,
-                              static_cast<std::int64_t>(b));
-          cnn::volume_forward_rows_into(layers, crop, need.begin,
-                                        sched.bands[b], weights_span, exec_ctx,
-                                        out, part.begin);
-        }
-        for (; next_send < sched.sends.size() &&
-               sched.sends[next_send].ready_after_band <=
-                   static_cast<int>(b);
-             ++next_send) {
-          const auto& send = sched.sends[next_send];
-          const bool gather = l + 1 == n_volumes;
-          post_rows(transport, data_addr(send.to),
-                    gather ? rpc::MsgType::kGather : rpc::MsgType::kHaloRows,
-                    lane.stream, seq, gather ? n_volumes : l + 1, ep.epoch,
-                    out, part.begin, send.rows, arena, stats, rtx, &*sender);
-        }
-      }
-      prev_out = &out;
-      cur_buf ^= 1;
-    } else {
-      // Serial baseline: whole-part compute, then copying sends from this
-      // thread (slice temporary + encode copy), exactly the PR-3 path.
-      const cnn::Tensor legacy_cur = crop;
-      cnn::Tensor out;
+    // Halo-first banded compute: boundary bands land in `out` first and
+    // their chunks ship through the sender thread while the interior bands
+    // still run — the transport writes overlap the SSE kernels.
+    cnn::Tensor& out = out_bufs[cur_buf];
+    reshape(out, part.size(), layers.back().out_w(), layers.back().out_c);
+    const auto& sched =
+        state.schedules_for(lane, ep)[static_cast<std::size_t>(l)];
+    std::size_t next_send = 0;
+    for (std::size_t b = 0; b < sched.bands.size(); ++b) {
       {
-        obs::SpanScope comp(obs::Cat::kCompute, seq, l, ep.epoch);
-        out = cnn::volume_forward_rows(layers, legacy_cur, need.begin, part,
-                                       weights_span, exec_ctx);
+        obs::SpanScope band(obs::Cat::kComputeBand, seq, l, ep.epoch,
+                            static_cast<std::int64_t>(b));
+        cnn::volume_forward_rows_into(layers, crop, need.begin, sched.bands[b],
+                                      weights_span, exec_ctx, out, part.begin);
       }
-      if (l + 1 < n_volumes) {
-        for (int k = 0; k < plan.n_devices; ++k) {
-          if (k == i) continue;
-          const auto& kneed = plan.needs[static_cast<std::size_t>(l + 1)]
-                                        [static_cast<std::size_t>(k)];
-          const auto chunk = kneed.intersect(part);
-          if (chunk.empty()) continue;
-          stats.bytes_copied.fetch_add(  // the sliced temporary
-              static_cast<Bytes>(chunk.size()) * out.w * out.c * 4,
-              std::memory_order_relaxed);
-          post_chunk(transport, data_addr(k),
-                     rpc::ChunkMsg{rpc::MsgType::kHaloRows, seq, l + 1,
-                                   chunk.begin, rpc::kNilNode, 0, ep.epoch,
-                                   lane.stream,
-                                   slice_rows(out, part.begin, chunk.begin,
-                                              chunk.end)},
-                     stats, rtx);
-        }
-      } else {
-        // Final volume: `out` is not needed locally again, so move it.
-        post_chunk(transport, data_addr(plan.requester_node()),
-                   rpc::ChunkMsg{rpc::MsgType::kGather, seq, n_volumes,
-                                 part.begin, rpc::kNilNode, 0, ep.epoch,
-                                 lane.stream, std::move(out)},
-                   stats, rtx);
+      for (; next_send < sched.sends.size() &&
+             sched.sends[next_send].ready_after_band <= static_cast<int>(b);
+           ++next_send) {
+        const auto& send = sched.sends[next_send];
+        const bool gather = l + 1 == n_volumes;
+        post_rows(transport, data_addr(send.to),
+                  gather ? rpc::MsgType::kGather : rpc::MsgType::kHaloRows,
+                  lane.stream, seq, gather ? n_volumes : l + 1, ep.epoch, out,
+                  part.begin, send.rows, arena, stats, rtx, &sender);
       }
-      legacy_prev = std::move(out);
-      prev_out = &legacy_prev;
     }
-    t_compute = std::chrono::duration_cast<std::chrono::duration<double>>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-    compute_ms += t_compute * 1e3;
+    prev_out = &out;
+    cur_buf ^= 1;
+    compute_ms += std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
     prev_rows = part;
   }
   return ImageOutcome::kDone;
@@ -833,9 +750,8 @@ void provider_loop_multi(rpc::Transport& transport, int i,
                          std::span<const TenantModel> fleet,
                          DataPlaneStats& stats,
                          const ReliabilityOptions& reliability,
-                         const cnn::ExecContext& exec, DataPlaneMode mode,
+                         const cnn::ExecContext& exec,
                          const TelemetryHooks& telemetry) {
-  const bool overlap = mode == DataPlaneMode::kOverlapZeroCopy;
   ChunkDedup dedup;
   RxState rx{transport, reliability, stats, dedup};
   ProviderState state{i, fleet, {}, {}, {}, {}, 0, {}};
@@ -857,12 +773,11 @@ void provider_loop_multi(rpc::Transport& transport, int i,
   std::vector<cnn::ExecCache> caches(fleet.size());
   cnn::ExecContext exec_ctx = exec;
 
-  // Per-run overlap state: recycled frame buffers, the dedicated sender
+  // Per-run chunk-path state: recycled frame buffers, the dedicated sender
   // thread, and reusable crop/part tensors — steady-state images allocate
   // nothing on the chunk path.
   rpc::FrameArena arena;
-  std::optional<ChunkSender> sender;
-  if (overlap) sender.emplace(transport);
+  ChunkSender sender(transport);
   cnn::Tensor crop_buf;
   cnn::Tensor out_bufs[2];
   int cur_buf = 0;
@@ -871,11 +786,11 @@ void provider_loop_multi(rpc::Transport& transport, int i,
   // an image); the sender must drain and the arena's allocation count must
   // fold into the shared stats on every path.
   struct Cleanup {
-    std::optional<ChunkSender>& sender;
+    ChunkSender& sender;
     rpc::FrameArena& arena;
     DataPlaneStats& stats;
     ~Cleanup() {
-      if (sender) sender->drain();
+      sender.drain();
       stats.frame_allocs.fetch_add(arena.stats().allocated,
                                    std::memory_order_relaxed);
     }
@@ -940,7 +855,7 @@ void provider_loop_multi(rpc::Transport& transport, int i,
     exec_ctx.cache = &caches[static_cast<std::size_t>(lane->model_id)];
     double compute_ms = 0;
     switch (process_image(state, rx, transport, *lane, seq, stats,
-                          reliability, exec_ctx, mode, arena, sender,
+                          reliability, exec_ctx, arena, sender,
                           rtx.get(), crop_buf, out_bufs, cur_buf,
                           compute_ms)) {
       case ImageOutcome::kStop:
@@ -1069,22 +984,11 @@ void scatter_image(RequesterContext& ctx, int seq, const cnn::Tensor& input) {
   for (int i = 0; i < ep.plan.n_devices; ++i) {
     const auto& need = ep.plan.needs[0][static_cast<std::size_t>(i)];
     if (need.empty()) continue;
-    if (ctx.mode == DataPlaneMode::kOverlapZeroCopy) {
-      // The scatter rows encode straight out of the caller's input tensor;
-      // no sliced temporary, and the frame buffer is recycled per image.
-      post_rows(ctx.transport, data_addr(i), rpc::MsgType::kScatter, stream,
-                seq, 0, ep.epoch, input, 0, need, ctx.arena, ctx.stats,
-                ctx.rtx, /*sender=*/nullptr);
-      continue;
-    }
-    ctx.stats.bytes_copied.fetch_add(  // the sliced temporary
-        static_cast<Bytes>(need.size()) * input.w * input.c * 4,
-        std::memory_order_relaxed);
-    post_chunk(ctx.transport, data_addr(i),
-               rpc::ChunkMsg{rpc::MsgType::kScatter, seq, 0, need.begin,
-                             rpc::kNilNode, 0, ep.epoch, stream,
-                             slice_rows(input, 0, need.begin, need.end)},
-               ctx.stats, ctx.rtx);
+    // The scatter rows encode straight out of the caller's input tensor; no
+    // sliced temporary, and the frame buffer is recycled per image.
+    post_rows(ctx.transport, data_addr(i), rpc::MsgType::kScatter, stream, seq,
+              0, ep.epoch, input, 0, need, ctx.arena, ctx.stats, ctx.rtx,
+              /*sender=*/nullptr);
   }
 }
 
@@ -1120,7 +1024,7 @@ GatherStatus gather_image(RequesterContext& ctx, int seq,
       if (!chunk_fits(chunk.view, bounds, output.w, output.c)) {
         return GatherStatus::kFailed;
       }
-      blit_chunk(chunk, output, 0, ctx.mode, ctx.stats);
+      blit_chunk(chunk, output, 0, ctx.stats);
       remaining_rows -= chunk.view.h;
     }
     ctx.stash.erase(it);
@@ -1173,7 +1077,7 @@ GatherStatus gather_image(RequesterContext& ctx, int seq,
     if (!chunk_fits(v, bounds, output.w, output.c)) {
       return GatherStatus::kFailed;
     }
-    blit_chunk(chunk, output, 0, ctx.mode, ctx.stats);
+    blit_chunk(chunk, output, 0, ctx.stats);
     remaining_rows -= v.h;
   }
   return GatherStatus::kOk;

@@ -10,20 +10,14 @@
 // announcement, and scatters/gathers under that lane's epoch. A
 // single-stream run is simply one lane.
 //
-// Two data-plane variants share these loops (DataPlaneMode):
-//  * kOverlapZeroCopy (default) — chunks are encoded straight out of the
-//    source tensor into arena-recycled frames and blitted straight out of
-//    the received frame bytes (<= 2 userspace copies per halo byte), and
-//    each part computes under the halo-first band schedule: boundary rows
-//    first, halos posted from a dedicated sender thread while the interior
-//    still computes, final-volume output streamed to the requester band by
-//    band.
-//  * kSerialCopy — the original serial path (whole-part compute, slice/
-//    encode/decode/blit copies, sends from the compute thread), kept as the
-//    in-run A/B baseline for bench/runtime_stream and the reference plane
-//    of the attribution gate. Both variants produce bit-identical outputs:
-//    bands are row partitions of the same plan and the engine is
-//    order-exact per pixel.
+// There is one chunk path. Chunks are encoded straight out of the source
+// tensor into arena-recycled frames and blitted straight out of the
+// received frame bytes (<= 2 userspace copies per halo byte), and each part
+// computes under the halo-first band schedule: boundary rows first, halos
+// posted from a dedicated sender thread while the interior still computes,
+// final-volume output streamed to the requester band by band. Outputs are
+// bit-identical to the single-device reference: bands are row partitions of
+// the same plan and the engine is order-exact per pixel.
 //
 // With ReliabilityOptions::enabled the loops speak the reliability
 // protocol (DESIGN.md §fault-model): every chunk is tracked by a
@@ -55,12 +49,6 @@
 #include "runtime/transfer_plan.hpp"
 
 namespace de::runtime {
-
-/// Which chunk path the workers run (see file header).
-enum class DataPlaneMode {
-  kSerialCopy,      ///< PR-3 baseline: barrier schedule, copying chunk path
-  kOverlapZeroCopy, ///< halo-first bands + zero-copy frames (default)
-};
 
 /// A received chunk: the owning frame plus the validated borrowed view into
 /// it (frame buffers are address-stable, so the pair may be moved/stashed).
@@ -119,9 +107,8 @@ struct TenantModel {
 /// runs the image under it, and chunks of later seqs stash until their
 /// turn. A device idle under an image's plan skips it. Runs until kShutdown
 /// or transport close; malformed frames are dropped. With reliability
-/// enabled the provider owns a Retransmitter; in kOverlapZeroCopy mode it
-/// additionally owns a frame arena, a ChunkSender thread, and the
-/// per-epoch halo-first schedules. Weight packing is cached per tenant
+/// enabled the provider owns a Retransmitter; it always owns a frame arena,
+/// a ChunkSender thread, and the per-epoch halo-first schedules. Weight packing is cached per tenant
 /// model, so interleaved streams of different models pay the packing cost
 /// once each, not per image.
 void provider_loop_multi(rpc::Transport& transport, int i,
@@ -129,7 +116,6 @@ void provider_loop_multi(rpc::Transport& transport, int i,
                          DataPlaneStats& stats,
                          const ReliabilityOptions& reliability = {},
                          const cnn::ExecContext& exec = {},
-                         DataPlaneMode mode = DataPlaneMode::kOverlapZeroCopy,
                          const TelemetryHooks& telemetry = {});
 
 /// Per-image reliability events observed by the requester while gathering.
@@ -146,22 +132,20 @@ struct ImageRetryStats {
 /// scatter.
 struct RequesterContext {
   RequesterContext(rpc::Transport& transport_, int n_devices_,
-                   DataPlaneStats& stats_, ReliabilityOptions reliability_ = {},
-                   DataPlaneMode mode_ = DataPlaneMode::kOverlapZeroCopy)
+                   DataPlaneStats& stats_, ReliabilityOptions reliability_ = {})
       : transport(transport_),
         stats(stats_),
-        reliability(reliability_), mode(mode_),
+        reliability(reliability_),
         n_devices(n_devices_) {}
 
   rpc::Transport& transport;
   DataPlaneStats& stats;
   ReliabilityOptions reliability;
-  DataPlaneMode mode;
   int n_devices = 0;
   Retransmitter* rtx = nullptr;  ///< set by the run owner when reliable
   ChunkDedup dedup;
   /// Scatter frames are encoded straight from the input tensor into these
-  /// recycled buffers (kOverlapZeroCopy).
+  /// recycled buffers.
   rpc::FrameArena arena;
   /// Gather chunks of images not yet collected, keyed by seq.
   std::map<int, std::vector<RxChunk>> stash;
@@ -245,8 +229,8 @@ enum class GatherStatus {
 
 /// Requester half: collects the holders' kGather chunks of image `seq` into
 /// `output` (sized from `model`). Completion is counted by output-row
-/// coverage, so one whole-part chunk per holder (serial mode) and streamed
-/// gather bands (overlap mode) both finish exactly when every row arrived.
+/// coverage, so the streamed gather bands finish exactly when every row
+/// arrived, however the holders cut them.
 /// Chunks of other images park in the context's stash; chunks of images
 /// below ctx.cancel_below are dropped (late output of a voided image).
 /// Returns kFailed if the transport shut down mid-gather, a peer sent

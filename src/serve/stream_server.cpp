@@ -401,7 +401,7 @@ void StreamServer::prepare_lane(runtime::RequesterContext& ctx, int id,
 void StreamServer::pump() {
   obs::bind_thread("requester", n_devices_);
   runtime::RequesterContext ctx(door_, n_devices_, stats_,
-                                options_.reliability, options_.mode);
+                                options_.reliability);
   std::unique_ptr<runtime::Retransmitter> rtx;
   if (options_.reliability.enabled) {
     rtx = std::make_unique<runtime::Retransmitter>(door_, options_.reliability,

@@ -107,8 +107,8 @@ TEST(TracedCluster, MergedTimelineChainsOneImageAcrossNodes) {
       saw_gather = true;
       EXPECT_EQ(thread.node, kDevices);
     }
-    if (cat == obs::Cat::kAssemble || cat == obs::Cat::kCompute ||
-        cat == obs::Cat::kComputeBand || cat == obs::Cat::kHaloPost) {
+    if (cat == obs::Cat::kAssemble || cat == obs::Cat::kComputeBand ||
+        cat == obs::Cat::kHaloPost) {
       if (thread.node >= 0 && thread.node < kDevices) {
         provider_nodes_with_work.insert(thread.node);
       }
@@ -140,7 +140,7 @@ TEST(TracedCluster, MergedTimelineChainsOneImageAcrossNodes) {
   EXPECT_FALSE(totals.empty());
 }
 
-TEST(TracedCluster, MetricNamesAgreeAcrossEntryPointsAndModes) {
+TEST(TracedCluster, MetricNamesAgreeAcrossEntryPoints) {
   const auto model = mini();
   constexpr int kDevices = 2;
   Rng rng(11);
@@ -148,14 +148,9 @@ TEST(TracedCluster, MetricNamesAgreeAcrossEntryPointsAndModes) {
   const auto strategy = even_strategy(model, kDevices);
   const auto inputs = random_inputs(model, 3, rng);
 
-  // Streaming, both data-plane modes.
-  ServeOptions overlap;
-  const auto served_overlap =
-      serve_stream(model, strategy, weights, inputs, kDevices, overlap);
-  ServeOptions serial;
-  serial.data_plane = DataPlaneMode::kSerialCopy;
-  const auto served_serial =
-      serve_stream(model, strategy, weights, inputs, kDevices, serial);
+  // Streaming.
+  const auto served =
+      serve_stream(model, strategy, weights, inputs, kDevices, ServeOptions{});
   // Finite single-image run.
   const auto once =
       run_distributed(model, strategy, weights, inputs[0], kDevices);
@@ -167,28 +162,24 @@ TEST(TracedCluster, MetricNamesAgreeAcrossEntryPointsAndModes) {
       kMetricRecvTimeouts, kMetricChunksAbandoned,
   };
   for (const auto& name : canonical) {
-    EXPECT_NE(served_overlap.metrics.find(name), nullptr) << name;
-    EXPECT_NE(served_serial.metrics.find(name), nullptr) << name;
+    EXPECT_NE(served.metrics.find(name), nullptr) << name;
     EXPECT_NE(once.metrics.find(name), nullptr) << name;
   }
-  // Streaming extras exist on both modes.
-  EXPECT_NE(served_overlap.metrics.find(kMetricGatherLatencyUs), nullptr);
-  EXPECT_NE(served_serial.metrics.find(kMetricGatherLatencyUs), nullptr);
-  EXPECT_EQ(served_overlap.metrics.counter(kMetricStreamImages), 3);
+  // Streaming extras.
+  EXPECT_NE(served.metrics.find(kMetricGatherLatencyUs), nullptr);
+  EXPECT_EQ(served.metrics.counter(kMetricStreamImages), 3);
 
   // The compatibility scalars are views into the snapshot, not a second
   // accounting: they must agree exactly.
-  EXPECT_EQ(served_overlap.messages_exchanged,
-            static_cast<int>(
-                served_overlap.metrics.counter(kMetricMessages)));
-  EXPECT_EQ(served_overlap.wire_bytes,
-            served_overlap.metrics.counter(kMetricWireBytes));
+  EXPECT_EQ(served.messages_exchanged,
+            static_cast<int>(served.metrics.counter(kMetricMessages)));
+  EXPECT_EQ(served.wire_bytes, served.metrics.counter(kMetricWireBytes));
   EXPECT_EQ(once.bytes_moved, once.metrics.counter(kMetricPayloadBytes));
   // A clean run reports clean reliability counters through the registry.
-  EXPECT_EQ(served_overlap.metrics.counter(kMetricRetransmits), 0);
-  EXPECT_EQ(served_overlap.metrics.counter(kMetricChunksAbandoned), 0);
+  EXPECT_EQ(served.metrics.counter(kMetricRetransmits), 0);
+  EXPECT_EQ(served.metrics.counter(kMetricChunksAbandoned), 0);
   // The gather-latency histogram saw one sample per image.
-  const auto* lat = served_overlap.metrics.find(kMetricGatherLatencyUs);
+  const auto* lat = served.metrics.find(kMetricGatherLatencyUs);
   ASSERT_NE(lat, nullptr);
   EXPECT_EQ(lat->hist.count, 3);
 }

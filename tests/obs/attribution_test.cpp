@@ -1,8 +1,10 @@
 // Critical-path attribution: synthetic-trace unit checks (partition
 // exactness, critical-device election, straggler scores) and the
-// acceptance gate — on a real serial-data-plane stream with in-flight
-// window 1, the per-image component sums must land within 5% of measured
-// end-to-end latency.
+// acceptance gate — on a real stream with in-flight window 1, the per-image
+// component sums must land within 5% of measured end-to-end latency. The
+// halo-first plane emits one compute span per band; attribution unions
+// them per node, so the gaps between bands are the only uncovered time a
+// provider adds.
 #include "obs/attribution.hpp"
 
 #include <gtest/gtest.h>
@@ -41,8 +43,8 @@ TEST(Attribution, PartitionIsExactAndDisjoint) {
   MergedTrace merged;
   merged.events.push_back(span(Cat::kScatter, 2, 0, 0, 10));
   merged.events.push_back(span(Cat::kAssemble, 0, 0, 10, 20));
-  merged.events.push_back(span(Cat::kCompute, 0, 0, 30, 50));
-  merged.events.push_back(span(Cat::kCompute, 1, 0, 35, 5));
+  merged.events.push_back(span(Cat::kComputeBand, 0, 0, 30, 50));
+  merged.events.push_back(span(Cat::kComputeBand, 1, 0, 35, 5));
   merged.events.push_back(span(Cat::kGather, 2, 0, 90, 10));
 
   const auto report = attribute_critical_paths(merged);
@@ -68,9 +70,9 @@ TEST(Attribution, SerializedProvidersStillTileTheWindow) {
   // time for the image even though node 0 (critical, ends last) was idle.
   MergedTrace merged;
   merged.events.push_back(span(Cat::kScatter, 2, 0, 0, 10));
-  merged.events.push_back(span(Cat::kCompute, 1, 0, 10, 30));
+  merged.events.push_back(span(Cat::kComputeBand, 1, 0, 10, 30));
   merged.events.push_back(span(Cat::kAssemble, 0, 0, 40, 5));
-  merged.events.push_back(span(Cat::kCompute, 0, 0, 45, 45));
+  merged.events.push_back(span(Cat::kComputeBand, 0, 0, 45, 45));
   merged.events.push_back(span(Cat::kGather, 2, 0, 95, 5));
 
   const auto report = attribute_critical_paths(merged);
@@ -90,7 +92,7 @@ TEST(Attribution, UnattributedGapIsReportedNotFolded) {
   // nothing — it must surface as unattributed, not inflate a component.
   MergedTrace merged;
   merged.events.push_back(span(Cat::kScatter, 1, 0, 0, 10));
-  merged.events.push_back(span(Cat::kCompute, 0, 0, 20, 20));
+  merged.events.push_back(span(Cat::kComputeBand, 0, 0, 20, 20));
   merged.events.push_back(span(Cat::kGather, 1, 0, 95, 5));
 
   const auto report = attribute_critical_paths(merged);
@@ -119,8 +121,10 @@ TEST(Attribution, StragglerScoresSumToOne) {
     const std::int64_t base = seq * 1000;
     merged.events.push_back(span(Cat::kScatter, 2, seq, base, 10));
     const int slow = seq == 0 ? 0 : 1;
-    merged.events.push_back(span(Cat::kCompute, slow, seq, base + 10, 80));
-    merged.events.push_back(span(Cat::kCompute, 1 - slow, seq, base + 10, 20));
+    merged.events.push_back(
+        span(Cat::kComputeBand, slow, seq, base + 10, 80));
+    merged.events.push_back(
+        span(Cat::kComputeBand, 1 - slow, seq, base + 10, 20));
     merged.events.push_back(span(Cat::kGather, 2, seq, base + 95, 5));
   }
   const auto report = attribute_critical_paths(merged);
@@ -178,7 +182,6 @@ TEST(Attribution, ServeStreamBreakdownSumsWithinFivePercent) {
 
   runtime::ServeOptions options;
   options.inflight = 1;  // one image at a time: no queuing gaps in e2e
-  options.data_plane = runtime::DataPlaneMode::kSerialCopy;
   obs::TraceCapture capture;
   options.trace = &capture;
   obs::TraceRecorder::instance().enable({});

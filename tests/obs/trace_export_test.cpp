@@ -52,12 +52,12 @@ void fill_capture(TraceCapture& capture) {
   provider0.name = "provider-0";
   provider0.node = 0;
   provider0.events.push_back(
-      make_span(Cat::kCompute, 11000, 500, /*seq=*/7, /*volume=*/0, 0));
+      make_span(Cat::kComputeBand, 11000, 500, /*seq=*/7, /*volume=*/0, 0));
   ThreadTrace provider1;
   provider1.name = "provider-1";
   provider1.node = 1;
   provider1.events.push_back(
-      make_span(Cat::kCompute, 11000, 800, /*seq=*/7, /*volume=*/0, 0));
+      make_span(Cat::kComputeBand, 11000, 800, /*seq=*/7, /*volume=*/0, 0));
   ThreadTrace requester;
   requester.name = "requester";
   requester.node = 2;
@@ -170,13 +170,13 @@ TEST(SpanTotals, RollupPerNodeWidestFirst) {
   const auto totals = span_totals_by_node(merge_capture(capture));
   ASSERT_FALSE(totals.empty());
   // Node 0 leads (sorted by node), its widest category first: kHaloPost
-  // (3000us over 2 spans) above kCompute (500us).
+  // (3000us over 2 spans) above kComputeBand (500us).
   EXPECT_EQ(totals[0].node, 0);
   EXPECT_EQ(totals[0].cat, Cat::kHaloPost);
   EXPECT_EQ(totals[0].total_us, 3000);
   EXPECT_EQ(totals[0].spans, 2);
   EXPECT_EQ(totals[1].node, 0);
-  EXPECT_EQ(totals[1].cat, Cat::kCompute);
+  EXPECT_EQ(totals[1].cat, Cat::kComputeBand);
   EXPECT_EQ(totals[1].total_us, 500);
 }
 

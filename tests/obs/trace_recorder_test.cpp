@@ -60,7 +60,7 @@ TEST_F(TraceRecorderTest, SpanAndInstantShapes) {
   bind_thread("shape-test", 1);
   trace_instant(Cat::kRtoFire, 5, -1, 2, 77);
   {
-    SpanScope span(Cat::kCompute, 9, 4, 1);
+    SpanScope span(Cat::kComputeBand, 9, 4, 1);
     span.set_arg(123);
   }
   const TraceDump dump = TraceRecorder::instance().snapshot();
@@ -76,7 +76,7 @@ TEST_F(TraceRecorderTest, SpanAndInstantShapes) {
         EXPECT_EQ(ev.epoch, 2);
         EXPECT_EQ(ev.arg, 77);
       }
-      if (ev.cat == static_cast<std::uint16_t>(Cat::kCompute)) {
+      if (ev.cat == static_cast<std::uint16_t>(Cat::kComputeBand)) {
         saw_span = true;
         EXPECT_GE(ev.dur_us, 0);  // spans close with a real duration
         EXPECT_EQ(ev.seq, 9);

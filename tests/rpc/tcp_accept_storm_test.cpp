@@ -16,6 +16,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <future>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -42,6 +43,32 @@ void connect_and_reset(std::uint16_t port) {
             0);
   const linger lg{1, 0};
   ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
+  ::close(fd);
+}
+
+/// Dials loopback `port` from a raw socket (retrying socket() while the fd
+/// table is full) and sends `body` in the wire framing by hand: u32 payload
+/// length, u32 mailbox id 0, payload bytes.
+void send_raw_frame(std::uint16_t port, const Payload& body) {
+  int fd = -1;
+  for (int k = 0; k < 4000 && fd < 0; ++k) {
+    fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  std::uint8_t msg[8 + 4] = {};
+  ASSERT_EQ(body.size(), 4u);
+  msg[0] = static_cast<std::uint8_t>(body.size());
+  for (std::size_t i = 0; i < body.size(); ++i) msg[8 + i] = body[i];
+  ASSERT_EQ(::send(fd, msg, sizeof(msg), MSG_NOSIGNAL),
+            static_cast<ssize_t>(sizeof(msg)));
   ::close(fd);
 }
 
@@ -87,6 +114,31 @@ TEST(TcpAcceptStorm, RecoversFromFdExhaustion) {
   server.open_mailbox(0);
   const std::uint16_t port = server.port();
 
+  // The client is a raw socket speaking the wire framing by hand, with its
+  // own retry loop: a TcpTransport client would share this process's
+  // starved fd table, and one transient in-process fd use stealing the
+  // single free slot marks its peer dead for good — the frame silently
+  // vanishes and the test hangs. A real client lives in another process and
+  // keeps dialing; model that. Its thread starts and exits only while the
+  // fd table has room: thread start/exit may itself need descriptors (a
+  // sanitizer runtime probes memory through a pipe), so it waits for one
+  // freed slot to dial and for the restored limit to exit. Declared before
+  // the promises, the jthread is joined after they are destroyed, so a
+  // failed ASSERT below breaks both promises and the client returns.
+  std::jthread sender;
+  std::promise<void> one_fd_free;
+  std::promise<void> limit_restored;
+  sender = std::jthread([port, dial = one_fd_free.get_future(),
+                         exit = limit_restored.get_future()]() mutable {
+    try {
+      dial.get();
+    } catch (const std::future_error&) {
+      return;  // the test bailed out before releasing the client
+    }
+    send_raw_frame(port, tiny_frame(9));
+    exit.wait();
+  });
+
   // Tighten the fd table, then hoard every remaining descriptor.
   rlimit old_limit{};
   ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &old_limit), 0);
@@ -104,43 +156,17 @@ TEST(TcpAcceptStorm, RecoversFromFdExhaustion) {
   // One fd back for the client's connecting socket; the kernel completes
   // the handshake in the backlog, but the server's accept() now fails with
   // EMFILE — before the fix, fatally; after it, with retry + backoff.
-  // The client is a raw socket speaking the wire framing by hand, with its
-  // own retry loop: a TcpTransport client would share this process's
-  // starved fd table, and one transient in-process fd use (thread startup,
-  // /proc reads) stealing the single free slot marks its peer dead for
-  // good — the frame silently vanishes and the test hangs. A real client
-  // lives in another process and keeps dialing; model that.
   ::close(hoard.back());
   hoard.pop_back();
-  std::thread sender([port] {
-    int fd = -1;
-    for (int k = 0; k < 4000 && fd < 0; ++k) {
-      fd = ::socket(AF_INET, SOCK_STREAM, 0);
-      if (fd < 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                        sizeof(addr)),
-              0);
-    // Wire framing: u32 payload length, u32 mailbox id, payload bytes.
-    const Payload body = tiny_frame(9);
-    std::uint8_t msg[8 + 4] = {};
-    msg[0] = static_cast<std::uint8_t>(body.size());
-    for (std::size_t i = 0; i < body.size(); ++i) msg[8 + i] = body[i];
-    ASSERT_EQ(::send(fd, msg, sizeof(msg), MSG_NOSIGNAL),
-              static_cast<ssize_t>(sizeof(msg)));
-    ::close(fd);
-  });
+  one_fd_free.set_value();
 
   // Let the accept loop hit EMFILE a number of times to prove it retries.
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
   for (const int fd : hoard) ::close(fd);
   hoard.clear();
-  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &old_limit), 0);
+  const int restored = ::setrlimit(RLIMIT_NOFILE, &old_limit);
+  limit_restored.set_value();
+  ASSERT_EQ(restored, 0);
 
   // With descriptors available again the pending connection is accepted
   // and the frame flows. Bounded wait: a lost frame must fail the test,
@@ -202,7 +228,7 @@ TEST(TcpAcceptStorm, ReapsRxSessionsOnPeerDisconnect) {
 TEST(TcpAcceptStorm, BacklogIsConfigurable) {
   // The old hardcoded listen(fd, 64) is now kDefaultBacklog with an
   // explicit knob; a tiny backlog still serves sequential clients.
-  TcpTransport server(0, /*port=*/0, /*legacy_io=*/false, /*backlog=*/4);
+  TcpTransport server(0, /*port=*/0, /*backlog=*/4);
   server.open_mailbox(0);
   for (int k = 0; k < 6; ++k) {
     TcpTransport client(1 + k);

@@ -44,7 +44,6 @@ void decode_must_not_crash(const Payload& frame) {
   };
   probe([](const Payload& f) { peek_type(f); });
   probe([](const Payload& f) { decode_chunk(f); });
-  probe([](const Payload& f) { decode_halo_request(f); });
   probe([](const Payload& f) { decode_ack(f); });
   probe([](const Payload& f) { decode_nack(f); });
   probe([](const Payload& f) { decode_telemetry(f); });

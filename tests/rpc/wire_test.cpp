@@ -72,19 +72,6 @@ TEST(Wire, ReencodeIsIdentical) {
   EXPECT_EQ(frame, again);
 }
 
-TEST(Wire, HaloRequestRoundTrips) {
-  HaloRequestMsg msg{/*seq=*/3, /*volume=*/1, /*begin=*/4, /*end=*/9,
-                     /*from_node=*/2};
-  const auto frame = encode_halo_request(msg);
-  EXPECT_EQ(peek_type(frame), MsgType::kHaloRequest);
-  const auto back = decode_halo_request(frame);
-  EXPECT_EQ(back.seq, msg.seq);
-  EXPECT_EQ(back.volume, msg.volume);
-  EXPECT_EQ(back.begin, msg.begin);
-  EXPECT_EQ(back.end, msg.end);
-  EXPECT_EQ(back.from_node, msg.from_node);
-}
-
 TEST(Wire, ShutdownIsHeaderOnly) {
   const auto frame = encode_shutdown();
   EXPECT_EQ(frame.size(), 8u);
@@ -322,9 +309,12 @@ TEST(Wire, RejectsEveryOtherVersion) {
 }
 
 TEST(Wire, RejectsUnknownType) {
-  auto frame = encode_shutdown();
-  frame[6] = 0x63;  // type lives at bytes 6-7
-  EXPECT_THROW(peek_type(frame), Error);
+  // 0x63 is past every type; 2 is the unassigned hole inside the range.
+  for (const std::uint8_t type : {0x63, 2}) {
+    auto frame = encode_shutdown();
+    frame[6] = type;  // type lives at bytes 6-7
+    EXPECT_THROW(peek_type(frame), Error) << "type " << int{type};
+  }
 }
 
 TEST(Wire, RejectsTruncatedFrames) {
@@ -342,9 +332,9 @@ TEST(Wire, RejectsTrailingGarbage) {
   frame.push_back(0x00);
   EXPECT_THROW(decode_chunk(frame), Error);
 
-  auto req = encode_halo_request({0, 0, 0, 0, 0});
-  req.push_back(0x00);
-  EXPECT_THROW(decode_halo_request(req), Error);
+  auto ack = encode_ack({/*from_node=*/0, /*chunk_id=*/1});
+  ack.push_back(0x00);
+  EXPECT_THROW(decode_ack(ack), Error);
 }
 
 TEST(Wire, RejectsHostileTensorExtents) {
@@ -368,10 +358,9 @@ TEST(Wire, RejectsHostileTensorExtents) {
 
 TEST(Wire, RejectsTypeConfusion) {
   EXPECT_THROW(decode_chunk(encode_shutdown()), Error);
-  EXPECT_THROW(decode_chunk(encode_halo_request({0, 0, 0, 0, 0})), Error);
-  EXPECT_THROW(
-      decode_halo_request(encode_chunk(sample_chunk(MsgType::kScatter))),
-      Error);
+  EXPECT_THROW(decode_chunk(encode_ack({0, 1})), Error);
+  EXPECT_THROW(decode_ack(encode_chunk(sample_chunk(MsgType::kScatter))),
+               Error);
 }
 
 TEST(Wire, EncodeRejectsInconsistentTensor) {

@@ -70,7 +70,6 @@ TEST(EpochTable, LookupAndMonotonicAppend) {
   EpochTable table(EpochPlan{0, 0, {}, plan});
   EXPECT_EQ(table.at(0).epoch, 0);
   EXPECT_EQ(table.at(1000).epoch, 0);
-  EXPECT_EQ(table.after(0), nullptr);
 
   table.add(EpochPlan{1, 10, {}, plan});
   table.add(EpochPlan{2, 10, {}, plan});  // same boundary is legal
@@ -80,10 +79,6 @@ TEST(EpochTable, LookupAndMonotonicAppend) {
   EXPECT_EQ(table.at(24).epoch, 2);
   EXPECT_EQ(table.at(25).epoch, 3);
   EXPECT_EQ(table.latest(), 3);
-  ASSERT_NE(table.after(0), nullptr);
-  EXPECT_EQ(table.after(0)->from_seq, 10);
-  EXPECT_EQ(table.after(10)->from_seq, 25);
-  EXPECT_EQ(table.after(25), nullptr);
   EXPECT_TRUE(table.knows(2));
   EXPECT_FALSE(table.knows(7));
 
@@ -137,7 +132,6 @@ TEST(EpochTable, RetirePrunesSupersededHistoryOnly) {
 struct SwapCase {
   const char* name;
   bool use_tcp;
-  DataPlaneMode mode;
 };
 
 class MidStreamSwap : public ::testing::TestWithParam<SwapCase> {};
@@ -158,7 +152,6 @@ TEST_P(MidStreamSwap, EveryImageBitExactAcrossEpochBoundaries) {
 
   ServeOptions options;
   options.use_tcp = c.use_tcp;
-  options.data_plane = c.mode;
   options.inflight = 4;  // images 2..4 are in flight across the first swap
   options.keep_outputs = true;
   options.swaps = {{5, b}, {11, d}};
@@ -175,9 +168,7 @@ TEST_P(MidStreamSwap, EveryImageBitExactAcrossEpochBoundaries) {
 INSTANTIATE_TEST_SUITE_P(
     Fabrics, MidStreamSwap,
     ::testing::Values(
-        SwapCase{"InProcOverlap", false, DataPlaneMode::kOverlapZeroCopy},
-        SwapCase{"TcpOverlap", true, DataPlaneMode::kOverlapZeroCopy},
-        SwapCase{"TcpSerial", true, DataPlaneMode::kSerialCopy}),
+        SwapCase{"InProcOverlap", false}, SwapCase{"TcpOverlap", true}),
     [](const ::testing::TestParamInfo<SwapCase>& info) {
       return std::string(info.param.name);
     });

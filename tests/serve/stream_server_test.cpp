@@ -112,16 +112,13 @@ struct Harness {
     Rng rng(23);
     wa = runtime::random_weights(ma, rng);
     wb = runtime::random_weights(mb, rng);
-    fabric = runtime::make_fabric(n_devices, use_tcp, faults,
-                                  runtime::DataPlaneMode::kOverlapZeroCopy,
-                                  shaping);
+    fabric = runtime::make_fabric(n_devices, use_tcp, faults, {}, shaping);
     fleet_models = {{&ma, &wa}, {&mb, &wb}};
     fleet = {TenantSpec{&ma, &wa, equal_strategy(ma, {0, 5}, n_devices)},
              TenantSpec{&mb, &wb, equal_strategy(mb, {0, 3}, n_devices)}};
     providers = runtime::spawn_providers_multi(
-        fabric, n_devices, fleet_models, stats, options.reliability, {},
-        runtime::DataPlaneMode::kOverlapZeroCopy, telemetry_every,
-        heartbeat_ms, max_restarts);
+        fabric, n_devices, fleet_models, stats, options.reliability, {}, {},
+        telemetry_every, heartbeat_ms, max_restarts);
     server = std::make_unique<StreamServer>(fabric.requester(), n_devices,
                                             fleet, stats, options);
   }
