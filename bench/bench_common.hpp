@@ -6,9 +6,14 @@
 // to restore the published hyper-parameters (OsdsConfig::paper()).
 #pragma once
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstring>
+#include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "experiments/harness.hpp"
@@ -61,5 +66,55 @@ inline void run_figure(const std::string& title,
   experiments::ips_table(results, planners, names, title).print(std::cout);
   std::cout << std::endl;
 }
+
+/// The calling process's thread count (/proc/self/status "Threads:"), or
+/// -1 where that file is unavailable.
+inline int process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "Threads:") {
+      int n = -1;
+      status >> n;
+      return n;
+    }
+    status.ignore(1 << 16, '\n');
+  }
+  return -1;
+}
+
+/// Samples process_threads() every `period` on a background thread while
+/// it lives; peak() is the largest count seen, not counting the sampler's
+/// own thread (-1 where /proc is unavailable).
+class ThreadPeakSampler {
+ public:
+  explicit ThreadPeakSampler(
+      std::chrono::milliseconds period = std::chrono::milliseconds(2))
+      : thread_([this, period] {
+          while (!stop_.load(std::memory_order_relaxed)) {
+            const int n = process_threads();
+            if (n > 0) {
+              peak_.store(std::max(peak_.load(std::memory_order_relaxed),
+                                   n - 1),
+                          std::memory_order_relaxed);
+            }
+            std::this_thread::sleep_for(period);
+          }
+        }) {}
+  ~ThreadPeakSampler() {
+    stop_.store(true, std::memory_order_relaxed);
+    thread_.join();
+  }
+
+  ThreadPeakSampler(const ThreadPeakSampler&) = delete;
+  ThreadPeakSampler& operator=(const ThreadPeakSampler&) = delete;
+
+  int peak() const { return peak_.load(std::memory_order_relaxed); }
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::atomic<int> peak_{-1};
+  std::thread thread_;
+};
 
 }  // namespace de::bench

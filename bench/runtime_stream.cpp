@@ -1,6 +1,8 @@
 // Streaming throughput of the real data plane: the zero-copy halo-first
-// plane (arena frames, wire-byte blits, boundary-band-first compute with a
-// dedicated sender thread) serving a pipelined stream over loopback TCP.
+// plane (arena frames, wire-byte blits, boundary-band-first compute whose
+// chunks go straight to the transport) serving a pipelined stream over
+// loopback TCP — the one fabric where a chunk's TCP write is not already
+// queued behind a pacer thread.
 // Every delivered image is checked bit-exact against the single-device
 // reference; the exit status reports that check.
 //
@@ -10,7 +12,8 @@
 // redistributes rows between devices — the regime edge clusters live in,
 // where the data plane (not FLOPs) bounds IPS. Results land in
 // BENCH_stream.json: measured IPS (best of the laps), wire bytes, copies
-// per halo byte, and frame-buffer allocations per image.
+// per halo byte, frame-buffer allocations per image, and the process's
+// peak thread count during the timed laps.
 //
 //   bench_runtime_stream [--quick] [--out PATH] [--images N]
 //                        [--model NAME] [--devices N] [--inflight K]
@@ -25,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "cnn/model_zoo.hpp"
 #include "common/require.hpp"
 #include "runtime/serve.hpp"
@@ -139,10 +143,15 @@ int main(int argc, char** argv) {
   bool exact = bit_exact(run_lap());
   const int laps = quick ? 1 : 3;
   runtime::ServeResult best;
-  for (int lap = 0; lap < laps; ++lap) {
-    auto r = run_lap();
-    exact = exact && bit_exact(r);
-    if (lap == 0 || r.measured_ips > best.measured_ips) best = std::move(r);
+  int threads_peak = -1;
+  {
+    bench::ThreadPeakSampler threads;
+    for (int lap = 0; lap < laps; ++lap) {
+      auto r = run_lap();
+      exact = exact && bit_exact(r);
+      if (lap == 0 || r.measured_ips > best.measured_ips) best = std::move(r);
+    }
+    threads_peak = threads.peak();
   }
 
   const double copies = best.bytes_moved > 0
@@ -153,13 +162,13 @@ int main(int argc, char** argv) {
       static_cast<double>(best.frame_allocs) / n_images;
   std::printf("%7.2f IPS  wall %.3fs  %lld msgs  %.2f MiB payload  "
               "%.2f MiB wire  %.2f copies/halo-byte  %lld frame allocs "
-              "(%.2f/image)\nbit-exact vs reference: %s\n",
+              "(%.2f/image)\npeak threads %d\nbit-exact vs reference: %s\n",
               best.measured_ips, best.wall_s,
               static_cast<long long>(best.messages_exchanged),
               static_cast<double>(best.bytes_moved) / (1 << 20),
               static_cast<double>(best.wire_bytes) / (1 << 20), copies,
               static_cast<long long>(best.frame_allocs), allocs_per_image,
-              exact ? "yes" : "NO");
+              threads_peak, exact ? "yes" : "NO");
 
   FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
@@ -181,6 +190,7 @@ int main(int argc, char** argv) {
                n_devices, inflight, static_cast<int>(strategy.volumes.size()));
   std::fprintf(f, "  \"bit_exact_vs_reference\": %s,\n",
                exact ? "true" : "false");
+  std::fprintf(f, "  \"threads_peak\": %d,\n", threads_peak);
   std::fprintf(f,
                "  \"overlap_zero_copy\": {\"ips\": %.3f, \"wall_s\": %.4f, "
                "\"messages\": %lld, \"payload_bytes\": %lld, "

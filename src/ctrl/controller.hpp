@@ -23,6 +23,7 @@
 #include <chrono>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "core/planner.hpp"
@@ -135,6 +136,12 @@ class Controller {
   /// swept against the same clock on the next ingest.
   void ingest_heartbeat(const rpc::HeartbeatMsg& msg,
                         std::int64_t received_us);
+  /// Feeds every heartbeat drained in one pass, then sweeps once. A caller
+  /// that fell behind must renew all of the batch before judging leases:
+  /// sweeping after the first would declare dead every node whose fresh
+  /// heartbeat still sat later in the same drain.
+  void ingest_heartbeats(std::span<const rpc::HeartbeatMsg> beats,
+                         std::int64_t received_us);
 
   ControllerStats stats() const;
 

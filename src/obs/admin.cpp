@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <shared_mutex>
@@ -88,28 +87,9 @@ std::optional<std::string_view> query_param(std::string_view query,
   return std::nullopt;
 }
 
-AdminServer::AdminServer(std::uint16_t port) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  DE_REQUIRE(listen_fd_ >= 0, "admin: socket() failed");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-          0 ||
-      ::listen(listen_fd_, 16) != 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw Error("admin: cannot bind loopback listener");
-  }
-  socklen_t addr_len = sizeof(addr);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &addr_len);
-  port_ = ntohs(addr.sin_port);
-  accept_thread_ = std::thread([this] { accept_loop(); });
-}
+AdminServer::AdminServer(std::uint16_t port)
+    : acceptor_(port, /*backlog=*/16, "admin",
+                [this](int fd) { serve_connection(fd); }) {}
 
 AdminServer::~AdminServer() { close(); }
 
@@ -125,56 +105,6 @@ void AdminServer::unroute(const std::string& path) {
   }
   // Barrier: wait out any connection thread still inside the old handler.
   std::unique_lock handlers(handler_mu());
-}
-
-void AdminServer::reap_finished_locked(std::vector<std::thread>& out) {
-  for (const auto id : conn_done_) {
-    for (auto it = conn_threads_.begin(); it != conn_threads_.end(); ++it) {
-      if (it->get_id() == id) {
-        out.push_back(std::move(*it));
-        conn_threads_.erase(it);
-        break;
-      }
-    }
-  }
-  conn_done_.clear();
-}
-
-void AdminServer::accept_loop() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    std::vector<std::thread> finished;
-    if (fd < 0) {
-      const int err = errno;
-      {
-        std::lock_guard lk(mu_);
-        if (down_) return;  // listener shut down: the only clean exit
-        reap_finished_locked(finished);
-      }
-      for (auto& t : finished) t.join();
-      // Same contract as the TCP front door: a failed accept() must never
-      // end the loop for the life of the server. Aborted handshakes are
-      // routine; fd/buffer exhaustion is transient.
-      if (err == EINTR || err == ECONNABORTED || err == EPROTO) continue;
-      if (err == EMFILE || err == ENFILE || err == ENOBUFS ||
-          err == ENOMEM) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        continue;
-      }
-      return;  // genuinely fatal without shutdown
-    }
-    {
-      std::lock_guard lk(mu_);
-      if (down_) {
-        ::close(fd);
-        return;
-      }
-      reap_finished_locked(finished);
-      conn_fds_.push_back(fd);
-      conn_threads_.emplace_back([this, fd] { serve_connection(fd); });
-    }
-    for (auto& t : finished) t.join();
-  }
 }
 
 void AdminServer::serve_connection(int fd) {
@@ -248,36 +178,14 @@ void AdminServer::serve_connection(int fd) {
       write_response(fd, resp);
     }
   }
-
-  // Deregister before closing so close() never touches a recycled fd, then
-  // park this thread's id for the accept loop to reap the handle.
-  std::lock_guard lk(mu_);
-  std::erase(conn_fds_, fd);
-  ::close(fd);
-  conn_done_.push_back(std::this_thread::get_id());
 }
 
 void AdminServer::close() {
-  std::vector<std::thread> conns;
   {
     std::lock_guard lk(mu_);
-    if (down_) return;  // idempotent: a second call must not re-join
-    down_ = true;
     routes_.clear();
-    // Wake connection threads blocked in recv(); they close their own fd.
-    for (int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
-    conns = std::move(conn_threads_);
-    conn_done_.clear();
   }
-  // Wake accept() with ::shutdown only; close the fd *after* the join so
-  // the accept thread never reads a recycled fd number.
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  for (auto& t : conns) t.join();
+  acceptor_.stop();
   // Barrier for callers that tear down handler-captured state next.
   std::unique_lock handlers(handler_mu());
 }

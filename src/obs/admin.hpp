@@ -6,16 +6,13 @@
 // /streams and /trace/dump for its lifetime.
 //
 // This is deliberately not a web framework: HTTP/1.0, GET only, one
-// request per connection, Connection: close. What it does inherit is the
-// PR-8 accept-path hardening from rpc::TcpTransport — the accept loop
-// retries EINTR/ECONNABORTED/EPROTO, backs off 2 ms on
-// EMFILE/ENFILE/ENOBUFS/ENOMEM instead of dying, finished connection
-// threads are reaped on the next accept wakeup (a long-lived endpoint must
-// not accrete one dead thread per past scrape), and shutdown wakes the
-// blocked accept with ::shutdown *before* closing the listener fd so the
-// accept thread never reads a recycled fd number. Connections additionally
-// carry a receive timeout so a stalled scraper cannot wedge a serving
-// thread forever.
+// request per connection, Connection: close. The listener is the same
+// de::LoopbackAcceptor rpc::TcpTransport uses, so the endpoint shares its
+// accept-path hardening: transient accept() failures never end the loop,
+// finished connection threads are reaped on the next accept wakeup, and
+// shutdown never lets the accept thread read a recycled fd number.
+// Connections additionally carry a receive timeout so a stalled scraper
+// cannot wedge a serving thread forever.
 //
 // Handlers run on connection threads: they must be safe to call
 // concurrently with the owning runtime (scrape-time snapshots, not locks
@@ -31,8 +28,8 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <thread>
-#include <vector>
+
+#include "common/loopback_acceptor.hpp"
 
 namespace de::obs {
 
@@ -61,7 +58,7 @@ class AdminServer {
   AdminServer(const AdminServer&) = delete;
   AdminServer& operator=(const AdminServer&) = delete;
 
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return acceptor_.port(); }
 
   /// Registers (or replaces) the handler for `path` (exact match, no
   /// query). Thread-safe.
@@ -75,20 +72,12 @@ class AdminServer {
   void close();
 
  private:
-  void accept_loop();
   void serve_connection(int fd);
-  void reap_finished_locked(std::vector<std::thread>& out);
-
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::thread accept_thread_;
 
   mutable std::mutex mu_;
-  bool down_ = false;
   std::map<std::string, AdminHandler, std::less<>> routes_;
-  std::vector<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
-  std::vector<std::thread::id> conn_done_;
+  /// Declared last: its accept thread starts once the route table exists.
+  LoopbackAcceptor acceptor_;
 };
 
 /// Minimal blocking HTTP GET against 127.0.0.1:`port` — the scrape client

@@ -46,7 +46,7 @@ enum class Cat : std::uint16_t {
                      ///< because the benchmark harness names it)
   kComputeBand,      ///< provider: one halo-first compute band
   kHaloPost,         ///< provider: encode one halo/gather band into a frame
-  kSenderWrite,      ///< ChunkSender thread: one blocking transport write
+  kSenderWrite,      ///< chunk post: one Transport::send on the posting thread
   kTxSyscall,        ///< TCP transport: one sendmsg (header+payload)
   kRxSyscall,        ///< TCP transport: one payload read into an arena frame
   kRtoFire,          ///< retransmitter: rto expired, chunk resent

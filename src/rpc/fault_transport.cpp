@@ -32,7 +32,12 @@ FaultInjectingTransport::FaultInjectingTransport(Transport& inner,
                                                 FaultSpec spec)
     : inner_(inner), spec_(std::move(spec)) {
   if (spec_.delay_prob > 0.0) {
-    delay_thread_ = std::thread([this] { delay_loop(); });
+    delayed_.emplace("fault-delay", inner_.local_node(),
+                     [this](const Address& to, Frame frame) {
+                       inner_.send(to, std::move(frame));
+                       std::lock_guard lk(mu_);
+                       ++stats_.forwarded;
+                     });
   }
 }
 
@@ -124,7 +129,9 @@ void FaultInjectingTransport::send(const Address& to, Frame frame) {
     const int span = spec_.delay_max_ms - spec_.delay_min_ms;
     const int delay_ms =
         spec_.delay_min_ms + static_cast<int>(width * (span > 0 ? span + 1 : 1));
-    enqueue_delayed(to, std::move(frame), delay_ms);
+    delayed_->push(std::chrono::steady_clock::now() +
+                       std::chrono::milliseconds(delay_ms),
+                   to, std::move(frame));
     std::lock_guard lk(mu_);
     ++stats_.delayed;
   } else {
@@ -143,60 +150,13 @@ void FaultInjectingTransport::send(const Address& to, Frame frame) {
   }
 }
 
-void FaultInjectingTransport::enqueue_delayed(const Address& to,
-                                              Frame frame, int delay_ms) {
-  {
-    std::lock_guard lk(delay_mu_);
-    held_.push(Held{std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(delay_ms),
-                    to, std::move(frame)});
-  }
-  delay_cv_.notify_one();
-}
-
-void FaultInjectingTransport::delay_loop() {
-  std::unique_lock lk(delay_mu_);
-  for (;;) {
-    if (delay_stop_) return;
-    if (held_.empty()) {
-      delay_cv_.wait(lk, [this] { return delay_stop_ || !held_.empty(); });
-      continue;
-    }
-    const auto due = held_.top().due;
-    if (std::chrono::steady_clock::now() < due) {
-      delay_cv_.wait_until(lk, due);
-      continue;
-    }
-    // const_cast: priority_queue::top() is const, but we are about to pop.
-    Held item = std::move(const_cast<Held&>(held_.top()));
-    held_.pop();
-    lk.unlock();
-    inner_.send(item.to, std::move(item.frame));
-    {
-      std::lock_guard slk(mu_);
-      ++stats_.forwarded;
-    }
-    lk.lock();
-  }
-}
-
 void FaultInjectingTransport::shutdown() {
-  bool first = false;
   {
     std::lock_guard lk(mu_);
-    first = !down_;
     down_ = true;
   }
-  if (first) {
-    {
-      std::lock_guard lk(delay_mu_);
-      delay_stop_ = true;
-      // Frames still held count as lost — the network went down with them.
-      while (!held_.empty()) held_.pop();
-    }
-    delay_cv_.notify_all();
-    if (delay_thread_.joinable()) delay_thread_.join();
-  }
+  // Frames still held count as lost — the network went down with them.
+  if (delayed_) delayed_->stop();
   inner_.shutdown();
 }
 

@@ -9,8 +9,9 @@
 //
 //  * drop       — the frame vanishes (at-most-once made concrete);
 //  * duplicate  — the frame is delivered twice;
-//  * delay      — the frame is held on a timer thread and delivered late,
-//                 which also reorders it behind later sends on the link;
+//  * delay      — the frame is held in a TimedFrameQueue and delivered
+//                 late, which also reorders it behind later sends on the
+//                 link (the queue's thread starts only if delay_prob > 0);
 //  * partition  — a link is severed for a window of its send indices
 //                 (LinkOutage schedule) or manually via set_link_down();
 //                 severed frames are dropped and counted separately.
@@ -20,15 +21,13 @@
 // injection — no real deployment loses traffic to itself.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <queue>
-#include <thread>
+#include <optional>
 #include <vector>
 
+#include "rpc/timed_queue.hpp"
 #include "rpc/transport.hpp"
 
 namespace de::rpc {
@@ -112,16 +111,7 @@ class FaultInjectingTransport final : public Transport {
   FaultStats stats() const;
 
  private:
-  struct Held {
-    std::chrono::steady_clock::time_point due;
-    Address to;
-    Frame frame;
-    bool operator>(const Held& other) const { return due > other.due; }
-  };
-
   bool link_severed_locked(NodeId to, std::uint64_t link_seq) const;
-  void enqueue_delayed(const Address& to, Frame frame, int delay_ms);
-  void delay_loop();
 
   Transport& inner_;
   const FaultSpec spec_;
@@ -133,11 +123,8 @@ class FaultInjectingTransport final : public Transport {
   FaultStats stats_;
   bool down_ = false;
 
-  std::mutex delay_mu_;
-  std::condition_variable delay_cv_;
-  std::priority_queue<Held, std::vector<Held>, std::greater<Held>> held_;
-  bool delay_stop_ = false;
-  std::thread delay_thread_;
+  /// Delayed frames; engaged only when the spec can delay.
+  std::optional<TimedFrameQueue> delayed_;
 };
 
 }  // namespace de::rpc

@@ -29,13 +29,19 @@ ShapingSpec ShapingSpec::uniform(int n_nodes, Mbps rate) {
 
 ShapedTransport::ShapedTransport(Transport& inner, ShapingSpec spec,
                                  Clock::time_point start)
-    : inner_(inner), spec_(std::move(spec)), start_(start) {
+    : inner_(inner),
+      spec_(std::move(spec)),
+      start_(start),
+      pacer_("pacer", inner.local_node(), [this](const Address& to, Frame f) {
+        obs::trace_instant(obs::Cat::kPacedSend, -1, -1, -1,
+                           static_cast<std::int64_t>(f.size()));
+        inner_.send(to, std::move(f));
+      }) {
   DE_REQUIRE(!spec_.node_traces.empty(), "shaping spec has no traces");
   DE_REQUIRE(spec_.time_scale > 0, "shaping time scale must be positive");
   DE_REQUIRE(static_cast<std::size_t>(inner_.local_node()) <
                  spec_.node_traces.size(),
              "local node outside the shaping spec");
-  pacer_ = std::thread([this] { pacer_loop(); });
 }
 
 ShapedTransport::~ShapedTransport() { shutdown(); }
@@ -58,7 +64,6 @@ void ShapedTransport::send(const Address& to, Frame frame) {
     return;
   }
   const auto now = Clock::now();
-  Clock::time_point due;
   {
     std::lock_guard lk(mu_);
     if (down_) return;
@@ -71,15 +76,14 @@ void ShapedTransport::send(const Address& to, Frame frame) {
     const Mbps rate = link_rate(to.node, begin);
     const double duration_s =
         static_cast<double>(frame.size()) * 8.0 / (rate * 1e6);
-    due = begin + std::chrono::duration_cast<Clock::duration>(
-                      std::chrono::duration<double>(duration_s));
+    const auto due = begin + std::chrono::duration_cast<Clock::duration>(
+                                 std::chrono::duration<double>(duration_s));
     next_free = due;
     auto& window = window_[to.node];
     window.bytes += static_cast<Bytes>(frame.size());
     window.busy_s += duration_s;
-    held_.push(Held{due, held_seq_++, to, std::move(frame)});
+    pacer_.push(due, to, std::move(frame));
   }
-  cv_.notify_one();
 }
 
 std::vector<LinkRateSample> ShapedTransport::sample_link_rates() {
@@ -99,45 +103,12 @@ std::vector<LinkRateSample> ShapedTransport::sample_link_rates() {
   return samples;
 }
 
-void ShapedTransport::pacer_loop() {
-  obs::bind_thread("pacer", inner_.local_node());
-  std::unique_lock lk(mu_);
-  for (;;) {
-    if (stop_) return;
-    if (held_.empty()) {
-      cv_.wait(lk, [this] { return stop_ || !held_.empty(); });
-      continue;
-    }
-    const auto due = held_.top().due;
-    if (Clock::now() < due) {
-      cv_.wait_until(lk, due);
-      continue;
-    }
-    // const_cast: priority_queue::top() is const, but we are about to pop.
-    Held item = std::move(const_cast<Held&>(held_.top()));
-    held_.pop();
-    lk.unlock();
-    obs::trace_instant(obs::Cat::kPacedSend, -1, -1, -1,
-                       static_cast<std::int64_t>(item.frame.size()));
-    inner_.send(item.to, std::move(item.frame));
-    lk.lock();
-  }
-}
-
 void ShapedTransport::shutdown() {
-  bool first = false;
   {
     std::lock_guard lk(mu_);
-    first = !down_;
     down_ = true;
-    stop_ = true;
-    // Frames mid-transmission go down with the link.
-    while (!held_.empty()) held_.pop();
   }
-  if (first) {
-    cv_.notify_all();
-    if (pacer_.joinable()) pacer_.join();
-  }
+  pacer_.stop();  // frames mid-transmission go down with the link
   inner_.shutdown();
 }
 

@@ -10,10 +10,10 @@
 // bytes / rate seconds: frame n may start only when frame n-1 finished
 // (per-link virtual clock `next_free`), and it is delivered to the inner
 // transport when its transmission completes. Delivery happens on a single
-// pacer thread ordered by (due time, enqueue sequence), so per-link FIFO —
-// the ordering guarantee every protocol above relies on — is preserved
-// exactly. Loopback sends (to.node == local_node()) bypass shaping, like
-// the fault injector's.
+// pacer thread (a TimedFrameQueue) ordered by (due time, enqueue sequence),
+// so per-link FIFO — the ordering guarantee every protocol above relies
+// on — is preserved exactly. Loopback sends (to.node == local_node())
+// bypass shaping, like the fault injector's.
 //
 // `time_scale` plays traces faster than real time: trace second
 // t_wall * time_scale is sampled at wall second t_wall, while transmission
@@ -30,15 +30,13 @@
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <queue>
-#include <thread>
 #include <vector>
 
 #include "net/trace.hpp"
+#include "rpc/timed_queue.hpp"
 #include "rpc/transport.hpp"
 #include "rpc/wire.hpp"
 
@@ -108,36 +106,21 @@ class ShapedTransport final : public Transport, public LinkRateSampler {
   Mbps link_rate(NodeId to, std::chrono::steady_clock::time_point now) const;
 
  private:
-  struct Held {
-    std::chrono::steady_clock::time_point due;
-    std::uint64_t seq = 0;  ///< enqueue order: FIFO tie-break on equal dues
-    Address to;
-    Frame frame;
-    bool operator>(const Held& other) const {
-      return due != other.due ? due > other.due : seq > other.seq;
-    }
-  };
-
   struct LinkWindow {
     Bytes bytes = 0;
     double busy_s = 0;  ///< virtual transmission time the bytes occupied
   };
 
-  void pacer_loop();
-
   Transport& inner_;
   const ShapingSpec spec_;
   const std::chrono::steady_clock::time_point start_;
 
-  mutable std::mutex mu_;
+  mutable std::mutex mu_;  ///< guards next_free_, window_, down_; held
+                           ///< across each push so pushes keep due order
   std::map<NodeId, std::chrono::steady_clock::time_point> next_free_;
   std::map<NodeId, LinkWindow> window_;
-  std::uint64_t held_seq_ = 0;
-  std::priority_queue<Held, std::vector<Held>, std::greater<Held>> held_;
-  std::condition_variable cv_;
-  bool stop_ = false;
   bool down_ = false;
-  std::thread pacer_;
+  TimedFrameQueue pacer_;
 };
 
 }  // namespace de::rpc

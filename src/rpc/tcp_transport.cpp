@@ -8,7 +8,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <string>
 
@@ -74,28 +73,9 @@ std::uint32_t get_u32(const std::uint8_t* p) {
 }  // namespace
 
 TcpTransport::TcpTransport(NodeId local, std::uint16_t port, int backlog)
-    : node_(local) {
-  DE_REQUIRE(backlog > 0, "listen backlog must be positive");
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  DE_REQUIRE(listen_fd_ >= 0, "socket() failed");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(listen_fd_, backlog) != 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw Error("tcp transport: cannot bind loopback listener");
-  }
-  socklen_t addr_len = sizeof(addr);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &addr_len);
-  port_ = ntohs(addr.sin_port);
-  accept_thread_ = std::thread([this] { accept_loop(); });
-}
+    : node_(local),
+      acceptor_(port, backlog, "tcp transport",
+                [this](int fd) { rx_loop(fd); }) {}
 
 TcpTransport::~TcpTransport() { shutdown(); }
 
@@ -221,64 +201,8 @@ std::size_t TcpTransport::pending(MailboxId id) const {
   return it == mailboxes_.end() ? 0 : it->second->pending();
 }
 
-void TcpTransport::reap_finished_locked(std::vector<std::thread>& out) {
-  for (const auto id : rx_done_) {
-    for (auto it = rx_threads_.begin(); it != rx_threads_.end(); ++it) {
-      if (it->get_id() == id) {
-        out.push_back(std::move(*it));
-        rx_threads_.erase(it);
-        break;
-      }
-    }
-  }
-  rx_done_.clear();
-}
-
 std::size_t TcpTransport::live_rx_sessions() const {
-  std::lock_guard lk(mu_);
-  return rx_fds_.size();
-}
-
-void TcpTransport::accept_loop() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    // Threads of disconnected peers are joined here, on the next accept
-    // wakeup after their rx loop exits — not at shutdown — so a long-lived
-    // front door does not accrete one dead thread per past client.
-    std::vector<std::thread> finished;
-    if (fd < 0) {
-      const int err = errno;
-      {
-        std::lock_guard lk(mu_);
-        if (down_) return;  // listener shut down: the only clean exit
-        reap_finished_locked(finished);
-      }
-      for (auto& t : finished) t.join();
-      // A failed accept() must not end the accept loop for the life of the
-      // transport — that would permanently lock every later client out of
-      // a healthy listener. Aborted handshakes are routine under connect
-      // storms; fd/buffer exhaustion is transient (our own rx reaping and
-      // peers closing free slots), so back off briefly and keep accepting.
-      if (err == EINTR || err == ECONNABORTED || err == EPROTO) continue;
-      if (err == EMFILE || err == ENFILE || err == ENOBUFS ||
-          err == ENOMEM) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        continue;
-      }
-      return;  // genuinely fatal (EBADF, EINVAL, ...) without shutdown
-    }
-    {
-      std::lock_guard lk(mu_);
-      if (down_) {
-        ::close(fd);
-        return;
-      }
-      reap_finished_locked(finished);
-      rx_fds_.push_back(fd);
-      rx_threads_.emplace_back([this, fd] { rx_loop(fd); });
-    }
-    for (auto& t : finished) t.join();
-  }
+  return acceptor_.live_connections();
 }
 
 void TcpTransport::rx_loop(int fd) {
@@ -307,16 +231,9 @@ void TcpTransport::rx_loop(int fd) {
     if (!ok) break;
     deliver_local(static_cast<MailboxId>(mailbox), std::move(frame));
   }
-  // Deregister before closing so shutdown() never touches a recycled fd,
-  // and park this thread's id for the accept loop to reap the handle.
-  std::lock_guard lk(mu_);
-  std::erase(rx_fds_, fd);
-  ::close(fd);
-  rx_done_.push_back(std::this_thread::get_id());
 }
 
 void TcpTransport::shutdown() {
-  std::vector<std::thread> rx;
   {
     std::lock_guard lk(mu_);
     if (down_) {
@@ -333,23 +250,8 @@ void TcpTransport::shutdown() {
       }
       peer->dead = true;
     }
-    // Wake rx threads blocked in read(); they close their fd themselves.
-    // rx_threads_ still holds any finished-but-unreaped threads — moving
-    // the whole vector joins those too.
-    for (int fd : rx_fds_) ::shutdown(fd, SHUT_RDWR);
-    rx = std::move(rx_threads_);
-    rx_done_.clear();
   }
-  // Wake accept() with ::shutdown only; the fd is closed *after* the join so
-  // the accept thread never reads a recycled fd number (closing first races
-  // with its next accept() and, on Linux, would not even wake a blocked one).
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  for (auto& t : rx) t.join();
+  acceptor_.stop();  // wakes rx threads blocked in read() and joins them
 }
 
 }  // namespace de::rpc

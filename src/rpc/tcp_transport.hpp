@@ -2,8 +2,9 @@
 //
 // Connection model: connections are unidirectional. A node dials each peer
 // lazily on first send and only ever writes on that socket; the accepting
-// side only reads. Every accepted connection gets its own rx thread that
-// deframes and routes payloads into local mailboxes by mailbox id. Frame
+// side only reads. The listener is a de::LoopbackAcceptor: every accepted
+// connection gets its own rx thread that deframes and routes payloads into
+// local mailboxes by mailbox id. Frame
 // layout on the socket (little-endian):
 //
 //   u32 payload_length   (bounded by kMaxFrameBytes)
@@ -16,7 +17,9 @@
 // buffers recycled through a per-transport FrameArena, so a steady-state
 // receiver allocates nothing per frame.
 //
-// send() is non-blocking from the protocol's point of view: on any connect
+// send() is one sendmsg. It never waits for the receiving node's consumer:
+// the peer's rx thread drains the socket into an unbounded mailbox, so a
+// write can stall only until that thread has read the bytes. On any connect
 // or write failure the peer is marked dead and the payload is dropped
 // silently, matching the Transport contract. shutdown() closes the listener
 // and all sockets, wakes blocked receivers, and joins the rx threads.
@@ -27,9 +30,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
+#include "common/loopback_acceptor.hpp"
 #include "rpc/transport.hpp"
 #include "runtime/mailbox.hpp"
 
@@ -63,7 +65,7 @@ class TcpTransport final : public Transport {
   TcpTransport& operator=(const TcpTransport&) = delete;
 
   /// The port the listener actually bound (useful with port = 0).
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return acceptor_.port(); }
 
   /// Declares where each peer node listens. Call before sending to them;
   /// sends to undeclared nodes are dropped.
@@ -93,30 +95,19 @@ class TcpTransport final : public Transport {
 
   runtime::Mailbox<Frame>* find_mailbox(MailboxId id);
   void deliver_local(MailboxId id, Frame frame);
-  void accept_loop();
   void rx_loop(int fd);
   /// Returns a connected fd for `peer` or -1; caller holds peer.mu.
   int peer_fd_locked(Peer& peer);
-  /// Moves rx threads whose loops have exited into `out` for joining
-  /// outside the lock; caller holds mu_.
-  void reap_finished_locked(std::vector<std::thread>& out);
 
   NodeId node_;
-  std::uint16_t port_ = 0;
   FrameArena rx_arena_;  ///< recycled receive buffers, shared by rx threads
-  int listen_fd_ = -1;
-  std::thread accept_thread_;
 
-  mutable std::mutex mu_;  ///< guards mailboxes_, peers_ map shape, rx bookkeeping
+  mutable std::mutex mu_;  ///< guards mailboxes_ and the peers_ map shape
   bool down_ = false;
   std::map<MailboxId, std::unique_ptr<runtime::Mailbox<Frame>>> mailboxes_;
   std::map<NodeId, std::unique_ptr<Peer>> peers_;
-  std::vector<int> rx_fds_;
-  std::vector<std::thread> rx_threads_;
-  /// Ids of rx threads that finished (peer disconnected); the accept loop
-  /// joins and discards them so long-lived transports do not accrete one
-  /// dead thread per past connection.
-  std::vector<std::thread::id> rx_done_;
+  /// Declared last: its accept thread starts once everything above exists.
+  LoopbackAcceptor acceptor_;
 };
 
 }  // namespace de::rpc

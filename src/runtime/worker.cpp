@@ -10,7 +10,6 @@
 
 #include "common/require.hpp"
 #include "obs/trace.hpp"
-#include "runtime/chunk_sender.hpp"
 
 namespace de::runtime {
 
@@ -266,14 +265,14 @@ void reshape(cnn::Tensor& t, int h, int w, int c) {
 }
 
 /// Zero-copy chunk post: encodes rows straight out of `src` into an arena
-/// frame, stamps reliability handles, shares the frame with the outbox when
-/// tracked, and hands it to the sender thread (provider) or the transport
-/// (requester).
+/// frame, stamps reliability handles, registers the frame with the outbox
+/// when tracked, and hands it to the transport on the calling thread
+/// (Transport::send never waits for the receiving node's reader).
 void post_rows(rpc::Transport& transport, const rpc::Address& to,
                rpc::MsgType type, int stream, int seq, int volume, int epoch,
                const cnn::Tensor& src, int src_offset, cnn::RowInterval rows,
                rpc::FrameArena& arena, DataPlaneStats& stats,
-               Retransmitter* rtx, ChunkSender* sender) {
+               Retransmitter* rtx) {
   obs::SpanScope span(obs::Cat::kHaloPost, seq, volume, epoch);
   rpc::NodeId from = rpc::kNilNode;
   std::uint32_t chunk_id = 0;
@@ -292,15 +291,10 @@ void post_rows(rpc::Transport& transport, const rpc::Address& to,
                              std::memory_order_relaxed);
   stats.bytes_copied.fetch_add(static_cast<Bytes>(payload),
                                std::memory_order_relaxed);
-  if (sender != nullptr) {
-    // The sender thread registers tracked chunks right before the wire
-    // write; tracking here would start the rto while the frame still sits
-    // in the queue and turn backpressure into spurious retransmits.
-    sender->post(to, std::move(frame), rtx, chunk_id);
-  } else {
-    if (rtx != nullptr) rtx->track(to, chunk_id, frame);
-    transport.send(to, std::move(frame));
-  }
+  if (rtx != nullptr) rtx->track(to, chunk_id, frame);
+  obs::SpanScope write(obs::Cat::kSenderWrite, seq, volume, epoch,
+                       static_cast<std::int64_t>(frame.size()));
+  transport.send(to, std::move(frame));
 }
 
 /// One tenant stream's serving state on a provider: the epoch lane, the
@@ -592,9 +586,8 @@ ImageOutcome process_image(
     ProviderState& state, RxState& rx, rpc::Transport& transport,
     StreamLane& lane, int seq, DataPlaneStats& stats,
     const ReliabilityOptions& reliability, cnn::ExecContext& exec_ctx,
-    rpc::FrameArena& arena, ChunkSender& sender, Retransmitter* rtx,
-    cnn::Tensor& crop, cnn::Tensor (&out_bufs)[2], int& cur_buf,
-    double& compute_ms) {
+    rpc::FrameArena& arena, Retransmitter* rtx, cnn::Tensor& crop,
+    cnn::Tensor (&out_bufs)[2], int& cur_buf, double& compute_ms) {
   const int i = state.i;
   const cnn::CnnModel& model = *lane.model;
   const std::vector<cnn::ConvWeights>& weights = *lane.weights;
@@ -709,8 +702,8 @@ ImageOutcome process_image(
 
     const auto t0 = std::chrono::steady_clock::now();
     // Halo-first banded compute: boundary bands land in `out` first and
-    // their chunks ship through the sender thread while the interior bands
-    // still run — the transport writes overlap the SSE kernels.
+    // their chunks go to the transport before the interior bands run, so
+    // the wire time overlaps the SSE kernels.
     cnn::Tensor& out = out_bufs[cur_buf];
     reshape(out, part.size(), layers.back().out_w(), layers.back().out_c);
     const auto& sched =
@@ -731,7 +724,7 @@ ImageOutcome process_image(
         post_rows(transport, data_addr(send.to),
                   gather ? rpc::MsgType::kGather : rpc::MsgType::kHaloRows,
                   lane.stream, seq, gather ? n_volumes : l + 1, ep.epoch, out,
-                  part.begin, send.rows, arena, stats, rtx, &sender);
+                  part.begin, send.rows, arena, stats, rtx);
       }
     }
     prev_out = &out;
@@ -773,28 +766,24 @@ void provider_loop_multi(rpc::Transport& transport, int i,
   std::vector<cnn::ExecCache> caches(fleet.size());
   cnn::ExecContext exec_ctx = exec;
 
-  // Per-run chunk-path state: recycled frame buffers, the dedicated sender
-  // thread, and reusable crop/part tensors — steady-state images allocate
-  // nothing on the chunk path.
+  // Per-run chunk-path state: recycled frame buffers and reusable crop/part
+  // tensors — steady-state images allocate nothing on the chunk path.
   rpc::FrameArena arena;
-  ChunkSender sender(transport);
   cnn::Tensor crop_buf;
   cnn::Tensor out_bufs[2];
   int cur_buf = 0;
 
   // The loop returns from several places (shutdown arrives in the middle of
-  // an image); the sender must drain and the arena's allocation count must
-  // fold into the shared stats on every path.
+  // an image); the arena's allocation count must fold into the shared stats
+  // on every path.
   struct Cleanup {
-    ChunkSender& sender;
     rpc::FrameArena& arena;
     DataPlaneStats& stats;
     ~Cleanup() {
-      sender.drain();
       stats.frame_allocs.fetch_add(arena.stats().allocated,
                                    std::memory_order_relaxed);
     }
-  } cleanup{sender, arena, stats};
+  } cleanup{arena, stats};
 
   auto window_start = std::chrono::steady_clock::now();
   double window_compute_ms = 0;
@@ -855,9 +844,8 @@ void provider_loop_multi(rpc::Transport& transport, int i,
     exec_ctx.cache = &caches[static_cast<std::size_t>(lane->model_id)];
     double compute_ms = 0;
     switch (process_image(state, rx, transport, *lane, seq, stats,
-                          reliability, exec_ctx, arena, sender,
-                          rtx.get(), crop_buf, out_bufs, cur_buf,
-                          compute_ms)) {
+                          reliability, exec_ctx, arena, rtx.get(), crop_buf,
+                          out_bufs, cur_buf, compute_ms)) {
       case ImageOutcome::kStop:
         return;
       case ImageOutcome::kCancelled:
@@ -987,8 +975,7 @@ void scatter_image(RequesterContext& ctx, int seq, const cnn::Tensor& input) {
     // The scatter rows encode straight out of the caller's input tensor; no
     // sliced temporary, and the frame buffer is recycled per image.
     post_rows(ctx.transport, data_addr(i), rpc::MsgType::kScatter, stream, seq,
-              0, ep.epoch, input, 0, need, ctx.arena, ctx.stats, ctx.rtx,
-              /*sender=*/nullptr);
+              0, ep.epoch, input, 0, need, ctx.arena, ctx.stats, ctx.rtx);
   }
 }
 

@@ -13,11 +13,11 @@
 // There is one chunk path. Chunks are encoded straight out of the source
 // tensor into arena-recycled frames and blitted straight out of the
 // received frame bytes (<= 2 userspace copies per halo byte), and each part
-// computes under the halo-first band schedule: boundary rows first, halos
-// posted from a dedicated sender thread while the interior still computes,
-// final-volume output streamed to the requester band by band. Outputs are
-// bit-identical to the single-device reference: bands are row partitions of
-// the same plan and the engine is order-exact per pixel.
+// computes under the halo-first band schedule: boundary rows first, their
+// halos handed to the transport (a non-blocking send) before the interior
+// computes, final-volume output streamed to the requester band by band.
+// Outputs are bit-identical to the single-device reference: bands are row
+// partitions of the same plan and the engine is order-exact per pixel.
 //
 // With ReliabilityOptions::enabled the loops speak the reliability
 // protocol (DESIGN.md §fault-model): every chunk is tracked by a
@@ -107,10 +107,11 @@ struct TenantModel {
 /// runs the image under it, and chunks of later seqs stash until their
 /// turn. A device idle under an image's plan skips it. Runs until kShutdown
 /// or transport close; malformed frames are dropped. With reliability
-/// enabled the provider owns a Retransmitter; it always owns a frame arena,
-/// a ChunkSender thread, and the per-epoch halo-first schedules. Weight packing is cached per tenant
-/// model, so interleaved streams of different models pay the packing cost
-/// once each, not per image.
+/// enabled the provider owns a Retransmitter; it always owns a frame arena
+/// and the per-epoch halo-first schedules, and sends every chunk on its own
+/// thread. Weight packing is cached per tenant model, so interleaved
+/// streams of different models pay the packing cost once each, not per
+/// image.
 void provider_loop_multi(rpc::Transport& transport, int i,
                          std::span<const TenantModel> fleet,
                          DataPlaneStats& stats,

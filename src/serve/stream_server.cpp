@@ -430,11 +430,15 @@ void StreamServer::pump() {
   // and its lease renewals — concern all tenants sharing it); each
   // controller's own planner decides whether its tenant should move. Every
   // frame's steady-clock sample also goes into the clock-sync book,
-  // received on this node's clock; lease books run on raw now_us().
+  // received on this node's clock; lease books run on raw now_us(). The
+  // whole backlog is drained before any lease is judged: after a stall
+  // longer than a lease, sweeping at the first heartbeat would kill every
+  // node whose fresh heartbeat sits behind it in the mailbox.
   const auto drain_control = [&] {
+    std::vector<rpc::HeartbeatMsg> beats;
+    std::vector<rpc::TelemetryMsg> reports;
     while (auto frame = door_.try_receive(rpc::kTelemetryMailbox)) {
       try {
-        const auto sinks = controllers();
         const std::int64_t received_us = obs::now_us();
         if (rpc::peek_type(*frame) == rpc::MsgType::kHeartbeat) {
           const rpc::HeartbeatMsg hb = rpc::decode_heartbeat(*frame);
@@ -442,20 +446,24 @@ void StreamServer::pump() {
             clock_sync_.ingest(hb.from_node, hb.steady_now_us,
                                received_us - clock_origin_us_);
           }
-          for (const auto& [id, sink] : sinks) {
-            sink->ingest_heartbeat(hb, received_us);
-          }
+          beats.push_back(hb);
         } else {
           const rpc::TelemetryMsg msg = rpc::decode_telemetry(*frame);
           if (msg.steady_now_us > 0) {
             clock_sync_.ingest(msg.from_node, msg.steady_now_us,
                                received_us - clock_origin_us_);
           }
-          for (const auto& [id, sink] : sinks) sink->ingest(msg);
+          reports.push_back(msg);
         }
       } catch (const Error&) {
         // Malformed control frame: drop, like the data plane does.
       }
+    }
+    if (beats.empty() && reports.empty()) return;
+    const std::int64_t received_us = obs::now_us();
+    for (const auto& [id, sink] : controllers()) {
+      if (!beats.empty()) sink->ingest_heartbeats(beats, received_us);
+      for (const auto& msg : reports) sink->ingest(msg);
     }
   };
   // A gather blocked on a dead device's rows would never see the death

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/require.hpp"
 #include "ctrl/controller.hpp"
 #include "ctrl/planner.hpp"
@@ -202,6 +204,27 @@ TEST(ControllerMembership, DeathPublishesMaskedSurvivorStrategy) {
   EXPECT_GT(rows_of(decision->strategy, 1), 0);
   EXPECT_FALSE(ext.controller->membership_pending());  // taken = gone
   EXPECT_EQ(ext.controller->stats().deaths, 1);
+}
+
+TEST(ControllerMembership, LateBatchOfHeartbeatsKillsNobody) {
+  // The caller stalled past the 50 ms lease and then drained every node's
+  // fresh heartbeat at once: the whole batch renews before any lease is
+  // judged, so no live node dies. Fed one at a time at that instant, the
+  // sweep after node 0's beat would have killed nodes 1 and 2.
+  ExternalController ext(3);
+  for (rpc::NodeId n = 0; n < 3; ++n) ext.beat(n, 1, 0);
+  std::vector<rpc::HeartbeatMsg> batch;
+  for (rpc::NodeId n = 0; n < 3; ++n) {
+    rpc::HeartbeatMsg msg;
+    msg.from_node = n;
+    msg.hb_seq = 2;
+    msg.steady_now_us = 90'000;
+    batch.push_back(msg);
+  }
+  ext.controller->ingest_heartbeats(batch, 90'000);
+  EXPECT_FALSE(ext.controller->membership_pending());
+  EXPECT_EQ(ext.controller->stats().deaths, 0);
+  EXPECT_EQ(ext.controller->stats().heartbeats, 6);
 }
 
 TEST(ControllerMembership, RejoinAdoptsWithProfileOnJoinCalibration) {

@@ -7,9 +7,13 @@
 // /membership JSON at each step.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -44,6 +48,30 @@ std::vector<cnn::Tensor> random_inputs(const cnn::CnnModel& m, int n,
     inputs.push_back(std::move(t));
   }
   return inputs;
+}
+
+/// The integer after `"key":` in a flat JSON body, or -1 when absent.
+long json_int(const std::string& body, std::string_view key) {
+  std::string needle = "\"";
+  needle.append(key).append("\":");
+  const std::size_t at = body.find(needle);
+  if (at == std::string::npos) return -1;
+  return std::strtol(body.c_str() + at + needle.size(), nullptr, 10);
+}
+
+/// Every node a /membership body shows in state "dead".
+std::vector<long> dead_nodes(const std::string& body) {
+  std::vector<long> out;
+  const std::string_view marker = "{\"node\":";
+  for (std::size_t at = body.find(marker); at != std::string::npos;
+       at = body.find(marker, at + 1)) {
+    char* end = nullptr;
+    const long node = std::strtol(body.c_str() + at + marker.size(), &end, 10);
+    if (std::string_view(end).starts_with(",\"state\":\"dead\"")) {
+      out.push_back(node);
+    }
+  }
+  return out;
 }
 
 sim::RawStrategy even_strategy(const cnn::CnnModel& m, int n_devices) {
@@ -110,11 +138,18 @@ TEST(OpsChaos, DeathAndSloObservedThroughLiveEndpointsOnly) {
   });
 
   // Everything asserted below comes from the wire, not from ServeResult.
+  // The counters are parsed, not substring-matched: "deaths" must read
+  // exactly 1 at some scrape and never more, "joins" must reach exactly 1,
+  // and node 1 must be the only node ever shown dead.
   bool saw_dead_state = false;
   bool saw_death_count = false;
   bool saw_join_count = false;
   bool saw_swap_epoch = false;
   bool saw_slo_stats = false;
+  long max_deaths = 0;
+  long max_joins = 0;
+  std::set<long> ever_dead;
+  std::string last_membership;
   for (int attempt = 0; attempt < 30000; ++attempt) {
     const auto membership = obs::http_get(admin.port(), "/membership");
     if (!membership.has_value() || membership->status != 200) {
@@ -123,14 +158,17 @@ TEST(OpsChaos, DeathAndSloObservedThroughLiveEndpointsOnly) {
       continue;
     }
     const std::string& mj = membership->body;
-    if (mj.find("\"node\":1,\"state\":\"dead\"") != std::string::npos) {
-      saw_dead_state = true;
-    }
-    if (mj.find("\"deaths\":1") != std::string::npos) saw_death_count = true;
-    if (mj.find("\"joins\":1") != std::string::npos) saw_join_count = true;
+    last_membership = mj;
+    for (const long node : dead_nodes(mj)) ever_dead.insert(node);
+    if (ever_dead.count(1) != 0) saw_dead_state = true;
+    const long deaths = json_int(mj, "deaths");
+    const long joins = json_int(mj, "joins");
+    max_deaths = std::max(max_deaths, deaths);
+    max_joins = std::max(max_joins, joins);
+    if (deaths == 1) saw_death_count = true;
+    if (joins == 1) saw_join_count = true;
     // Once a membership swap applied, the serving loop's epoch shows up.
-    if (saw_death_count &&
-        mj.find("\"last_swap_epoch\":-1") == std::string::npos) {
+    if (saw_death_count && json_int(mj, "last_swap_epoch") != -1) {
       saw_swap_epoch = true;
     }
     const auto streams = obs::http_get(admin.port(), "/streams");
@@ -151,9 +189,19 @@ TEST(OpsChaos, DeathAndSloObservedThroughLiveEndpointsOnly) {
   obs::TraceRecorder::instance().disable();
   admin.close();
 
+  std::string dead_list;
+  for (const long node : ever_dead) dead_list += std::to_string(node) + " ";
+  SCOPED_TRACE("last /membership: " + last_membership +
+               "max deaths " + std::to_string(max_deaths) + ", max joins " +
+               std::to_string(max_joins) + ", nodes ever dead: " + dead_list);
   EXPECT_TRUE(saw_dead_state) << "no /membership scrape showed node 1 dead";
-  EXPECT_TRUE(saw_death_count) << "deaths counter never reached 1";
-  EXPECT_TRUE(saw_join_count) << "joins counter never reached 1";
+  EXPECT_TRUE(saw_death_count) << "deaths counter never read exactly 1";
+  EXPECT_LE(max_deaths, 1) << "more than one death was recorded";
+  EXPECT_TRUE(saw_join_count) << "joins counter never read exactly 1";
+  EXPECT_LE(max_joins, 1) << "more than one join was recorded";
+  EXPECT_TRUE(ever_dead.empty() ||
+              (ever_dead.size() == 1 && *ever_dead.begin() == 1))
+      << "a node other than 1 was shown dead";
   EXPECT_TRUE(saw_swap_epoch) << "last_swap_epoch never left -1";
   EXPECT_TRUE(saw_slo_stats) << "/streams never showed live SLO stats";
 }

@@ -3,7 +3,9 @@
 // connection aborts (a client resetting while still in the backlog) and
 // process fd exhaustion (EMFILE) — instead of silently returning and
 // leaving every later client hanging. Plus: per-connection rx resources
-// are reaped when the peer disconnects, not hoarded until shutdown.
+// are reaped when the peer disconnects, not hoarded until shutdown. The
+// abort storm also hits obs::AdminServer, which listens through the same
+// de::LoopbackAcceptor.
 #include "rpc/tcp_transport.hpp"
 
 #include <gtest/gtest.h>
@@ -22,6 +24,7 @@
 #include <vector>
 
 #include "common/require.hpp"
+#include "obs/admin.hpp"
 
 namespace de::rpc {
 namespace {
@@ -107,6 +110,22 @@ TEST(TcpAcceptStorm, SurvivesConnectionAbortStorm) {
   EXPECT_EQ(*got, tiny_frame(7));
   client.shutdown();
   server.shutdown();
+
+  // The admin endpoint takes the same storm; a scrape of a registered
+  // route afterwards must still be served.
+  obs::AdminServer admin;
+  admin.route("/ping", [](std::string_view) {
+    return obs::HttpResponse{200, "text/plain; charset=utf-8", "pong\n"};
+  });
+  for (int k = 0; k < 50; ++k) connect_and_reset(admin.port());
+  std::optional<obs::HttpGetResult> scrape;
+  for (int attempt = 0; attempt < 20 && !scrape.has_value(); ++attempt) {
+    scrape = obs::http_get(admin.port(), "/ping");
+  }
+  ASSERT_TRUE(scrape.has_value());
+  EXPECT_EQ(scrape->status, 200);
+  EXPECT_EQ(scrape->body, "pong\n");
+  admin.close();
 }
 
 TEST(TcpAcceptStorm, RecoversFromFdExhaustion) {

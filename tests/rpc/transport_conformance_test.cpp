@@ -5,10 +5,15 @@
 // its probabilities are zero), and ShapedTransport wrapping InProc with a
 // near-infinite link rate (pacing at memory speed must also be
 // transparent). Covers addressed delivery, per-sender FIFO, non-blocking
-// and bounded receives, graceful shutdown, and the silent
+// sends and bounded receives, graceful shutdown, and the silent
 // send-to-dead-peer semantics every protocol above relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstdint>
+#include <fstream>
+#include <future>
 #include <map>
 #include <memory>
 #include <string>
@@ -24,6 +29,15 @@ namespace de::rpc {
 namespace {
 
 Payload bytes(std::initializer_list<std::uint8_t> list) { return Payload(list); }
+
+/// Largest per-socket buffer (bytes) in /proc/sys/net/ipv4/tcp_{w,r}mem
+/// ("min default max"); 0 when the file is unreadable.
+std::size_t tcp_buffer_max(const char* path) {
+  std::ifstream in(path);
+  std::size_t min = 0, def = 0, max = 0;
+  in >> min >> def >> max;
+  return in ? max : 0;
+}
 
 /// A small cluster of transports under test; node ids are 0..n-1.
 class Universe {
@@ -264,6 +278,54 @@ TEST_P(TransportConformance, QueuedFramesSurviveSenderShutdown) {
   u->node(0).shutdown();
   Frame out;
   EXPECT_EQ(u->node(1).receive_for(0, 10, out), RecvStatus::kTimeout);
+}
+
+TEST_P(TransportConformance, SendDoesNotWaitForTheReader) {
+  // A burst larger than one loopback socket's send plus receive buffers,
+  // into a mailbox nobody reads yet: every send must still return (the
+  // providers call send inline between compute bands), and every frame
+  // must then arrive, in order.
+  const std::size_t buffers =
+      tcp_buffer_max("/proc/sys/net/ipv4/tcp_wmem") +
+      tcp_buffer_max("/proc/sys/net/ipv4/tcp_rmem");
+  constexpr std::size_t kFrameBytes = 64 * 1024;
+  const std::size_t total =
+      std::max<std::size_t>(buffers, 8u << 20) + (1u << 20);
+  const auto n_frames = static_cast<std::uint32_t>(total / kFrameBytes + 1);
+
+  auto u = make(2);
+  const auto inbox = u->node(1).open_mailbox(0);
+  std::promise<void> sent;
+  auto sent_future = sent.get_future();
+  std::jthread sender([&] {
+    for (std::uint32_t k = 0; k < n_frames; ++k) {
+      Payload frame(kFrameBytes, static_cast<std::uint8_t>(k));
+      for (int b = 0; b < 4; ++b) {
+        frame[static_cast<std::size_t>(b)] =
+            static_cast<std::uint8_t>(k >> (8 * b));
+      }
+      u->node(0).send(inbox, std::move(frame));
+    }
+    sent.set_value();
+  });
+  const bool returned = sent_future.wait_for(std::chrono::seconds(30)) ==
+                        std::future_status::ready;
+  // Read either way: on failure this unblocks the sender so it can join.
+  for (std::uint32_t k = 0; k < n_frames; ++k) {
+    Frame got;
+    ASSERT_EQ(u->node(1).receive_for(0, 10000, got), RecvStatus::kOk)
+        << "frame " << k << " of " << n_frames << " never arrived";
+    ASSERT_EQ(got.size(), kFrameBytes);
+    std::uint32_t tag = 0;
+    for (int b = 0; b < 4; ++b) {
+      tag |= static_cast<std::uint32_t>(got.data()[b]) << (8 * b);
+    }
+    ASSERT_EQ(tag, k) << "frame out of order";
+    ASSERT_EQ(got.data()[kFrameBytes - 1], static_cast<std::uint8_t>(k));
+  }
+  sender.join();
+  EXPECT_TRUE(returned) << n_frames << " sends of " << kFrameBytes
+                        << " B blocked on a mailbox nobody was reading";
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, TransportConformance,

@@ -454,6 +454,7 @@ TEST(StreamServer, PerTenantControllerFedFromSharedTelemetry) {
   // Providers published one frame per finished image; the door fanned them
   // into the tenant's controller.
   EXPECT_GT(controller.stats().telemetry_frames, 0);
+  h.server->close();  // the pump feeds `controller`, which dies before `h`
 }
 
 TEST(StreamServer, RetiredLaneIsEvictedAcrossTheFleet) {
@@ -559,6 +560,7 @@ TEST(StreamServer, StreamsSurviveFleetChurn) {
 
   EXPECT_EQ(h.server->snapshot(sa).delivered, 12);
   EXPECT_EQ(h.server->snapshot(sb).delivered, 12);
+  h.server->close();  // the pump feeds `controller`, which dies before `h`
 }
 
 }  // namespace
