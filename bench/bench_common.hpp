@@ -83,14 +83,13 @@ inline int process_threads() {
   return -1;
 }
 
-/// Samples process_threads() every `period` on a background thread while
-/// it lives; peak() is the largest count seen, not counting the sampler's
-/// own thread (-1 where /proc is unavailable).
+/// Samples process_threads() every 2 ms on a background thread while it
+/// lives; peak() is the largest count seen, not counting the sampler's own
+/// thread (-1 where /proc is unavailable).
 class ThreadPeakSampler {
  public:
-  explicit ThreadPeakSampler(
-      std::chrono::milliseconds period = std::chrono::milliseconds(2))
-      : thread_([this, period] {
+  ThreadPeakSampler()
+      : thread_([this] {
           while (!stop_.load(std::memory_order_relaxed)) {
             const int n = process_threads();
             if (n > 0) {
@@ -98,7 +97,7 @@ class ThreadPeakSampler {
                                    n - 1),
                           std::memory_order_relaxed);
             }
-            std::this_thread::sleep_for(period);
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
           }
         }) {}
   ~ThreadPeakSampler() {

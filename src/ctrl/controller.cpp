@@ -60,14 +60,9 @@ void Controller::ingest(const rpc::TelemetryMsg& msg) {
   }
 }
 
-void Controller::ingest_heartbeat(const rpc::HeartbeatMsg& msg,
-                                  std::int64_t received_us) {
-  ingest_heartbeats({&msg, 1}, received_us);
-}
-
 void Controller::ingest_heartbeats(std::span<const rpc::HeartbeatMsg> beats,
                                    std::int64_t received_us) {
-  DE_REQUIRE(started_, "ingest_heartbeat() requires start_external()");
+  DE_REQUIRE(started_, "ingest_heartbeats() requires start_external()");
   for (const auto& msg : beats) {
     if (book_.ingest_heartbeat(msg.from_node, msg.hb_seq, msg.steady_now_us,
                                received_us)) {

@@ -13,7 +13,7 @@
 //
 // The controller owns no thread and no mailbox: the front door
 // (serve::StreamServer) drains the fleet's shared telemetry mailbox once
-// and pushes every frame through ingest()/ingest_heartbeat(), and planning
+// and pushes every frame through ingest()/ingest_heartbeats(), and planning
 // runs inline on the caller's thread. It never touches the data plane
 // itself: it publishes at most one pending decision that the door picks up
 // between images and turns into a kReconfigure epoch
@@ -131,15 +131,12 @@ class Controller {
   /// cancelled would strand its already-consumed chunks.
   bool death_pending() const;
 
-  /// Feeds one already-decoded heartbeat (after start_external()).
-  /// `received_us` is the caller's receive-time clock; lease expiry is
-  /// swept against the same clock on the next ingest.
-  void ingest_heartbeat(const rpc::HeartbeatMsg& msg,
-                        std::int64_t received_us);
-  /// Feeds every heartbeat drained in one pass, then sweeps once. A caller
-  /// that fell behind must renew all of the batch before judging leases:
-  /// sweeping after the first would declare dead every node whose fresh
-  /// heartbeat still sat later in the same drain.
+  /// Feeds every already-decoded heartbeat drained in one pass (after
+  /// start_external()), then sweeps leases once against `received_us`, the
+  /// caller's receive-time clock. A caller that fell behind must renew all
+  /// of the batch before judging leases: sweeping after the first would
+  /// declare dead every node whose fresh heartbeat still sat later in the
+  /// same drain.
   void ingest_heartbeats(std::span<const rpc::HeartbeatMsg> beats,
                          std::int64_t received_us);
 

@@ -700,10 +700,11 @@ ImageOutcome process_image(
 
     assemble.reset();  // inputs complete; the rest of the volume is compute
 
-    const auto t0 = std::chrono::steady_clock::now();
     // Halo-first banded compute: boundary bands land in `out` first and
     // their chunks go to the transport before the interior bands run, so
-    // the wire time overlaps the SSE kernels.
+    // the wire time overlaps the SSE kernels. Only the kernels count toward
+    // compute_ms: a send may wait on the socket (kSenderWrite spans it),
+    // and the controller calibrates its compute model from this figure.
     cnn::Tensor& out = out_bufs[cur_buf];
     reshape(out, part.size(), layers.back().out_w(), layers.back().out_c);
     const auto& sched =
@@ -713,8 +714,12 @@ ImageOutcome process_image(
       {
         obs::SpanScope band(obs::Cat::kComputeBand, seq, l, ep.epoch,
                             static_cast<std::int64_t>(b));
+        const auto t0 = std::chrono::steady_clock::now();
         cnn::volume_forward_rows_into(layers, crop, need.begin, sched.bands[b],
                                       weights_span, exec_ctx, out, part.begin);
+        compute_ms += std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
       }
       for (; next_send < sched.sends.size() &&
              sched.sends[next_send].ready_after_band <= static_cast<int>(b);
@@ -729,9 +734,6 @@ ImageOutcome process_image(
     }
     prev_out = &out;
     cur_buf ^= 1;
-    compute_ms += std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
     prev_rows = part;
   }
   return ImageOutcome::kDone;

@@ -179,7 +179,7 @@ struct ExternalController {
     msg.from_node = node;
     msg.hb_seq = seq;
     msg.steady_now_us = at_us;
-    controller->ingest_heartbeat(msg, at_us);
+    controller->ingest_heartbeats({&msg, 1}, at_us);
   }
 };
 

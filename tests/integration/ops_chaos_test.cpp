@@ -229,7 +229,7 @@ TEST(OpsChaos, ExternalControllerMembershipJsonTracksDeadJoiningAlive) {
     msg.from_node = node;
     msg.hb_seq = seq;
     msg.steady_now_us = at_us;
-    controller.ingest_heartbeat(msg, at_us);
+    controller.ingest_heartbeats({&msg, 1}, at_us);
   };
   const auto json_at = [&](std::int64_t now_us) {
     return ctrl::membership_json(controller.membership_view(now_us), -1);

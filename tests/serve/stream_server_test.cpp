@@ -11,7 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <thread>
 
 #include "core/strategy.hpp"
@@ -22,6 +25,8 @@
 #include "net/network.hpp"
 #include "runtime/cluster.hpp"
 #include "runtime/fabric.hpp"
+#include "rpc/transport.hpp"
+#include "rpc/wire.hpp"
 
 namespace de::serve {
 namespace {
@@ -561,6 +566,225 @@ TEST(StreamServer, StreamsSurviveFleetChurn) {
   EXPECT_EQ(h.server->snapshot(sa).delivered, 12);
   EXPECT_EQ(h.server->snapshot(sb).delivered, 12);
   h.server->close();  // the pump feeds `controller`, which dies before `h`
+}
+
+/// Forwards every call to `inner`; the two wrappers below override one.
+class ForwardingTransport : public rpc::Transport {
+ public:
+  explicit ForwardingTransport(rpc::Transport& inner) : inner_(inner) {}
+  rpc::NodeId local_node() const override { return inner_.local_node(); }
+  rpc::Address open_mailbox(rpc::MailboxId id) override {
+    return inner_.open_mailbox(id);
+  }
+  void send(const rpc::Address& to, rpc::Frame frame) override {
+    inner_.send(to, std::move(frame));
+  }
+  std::optional<rpc::Frame> receive(rpc::MailboxId id) override {
+    return inner_.receive(id);
+  }
+  std::optional<rpc::Frame> try_receive(rpc::MailboxId id) override {
+    return inner_.try_receive(id);
+  }
+  rpc::RecvStatus receive_for(rpc::MailboxId id, int timeout_ms,
+                              rpc::Frame& out) override {
+    return inner_.receive_for(id, timeout_ms, out);
+  }
+  std::size_t pending(rpc::MailboxId id) const override {
+    return inner_.pending(id);
+  }
+  void shutdown() override { inner_.shutdown(); }
+
+ protected:
+  rpc::Transport& inner_;
+};
+
+/// The door's endpoint, seen from its telemetry mailbox: hold() parks the
+/// pump's next control drain (a pump stalled on a loaded host) until
+/// release(), and every telemetry report the pump drains is recorded.
+class TelemetryTap final : public ForwardingTransport {
+ public:
+  using ForwardingTransport::ForwardingTransport;
+
+  std::optional<rpc::Frame> try_receive(rpc::MailboxId id) override {
+    if (id != rpc::kTelemetryMailbox) return inner_.try_receive(id);
+    std::unique_lock lk(mu_);
+    parked_ = held_;
+    cv_.notify_all();
+    cv_.wait(lk, [this] { return !held_; });
+    parked_ = false;
+    auto frame = inner_.try_receive(id);
+    if (frame && rpc::peek_type(*frame) == rpc::MsgType::kTelemetry) {
+      compute_ms_.push_back(rpc::decode_telemetry(*frame).compute_ms);
+    }
+    return frame;
+  }
+
+  void hold() {
+    std::lock_guard lk(mu_);
+    held_ = true;
+  }
+  /// True once the pump is parked at the gate (false after 10 s).
+  bool wait_parked() {
+    std::unique_lock lk(mu_);
+    return cv_.wait_for(lk, std::chrono::seconds(10),
+                        [this] { return parked_; });
+  }
+  void release() {
+    {
+      std::lock_guard lk(mu_);
+      held_ = false;
+    }
+    cv_.notify_all();
+  }
+  std::vector<double> compute_ms() const {
+    std::lock_guard lk(mu_);
+    return compute_ms_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  bool held_ = false;
+  bool parked_ = false;
+  std::vector<double> compute_ms_;  ///< per drained telemetry report
+};
+
+TEST(StreamServer, LateHeartbeatBacklogKillsNobody) {
+  // The pump stalls past a lease while every node's fresh heartbeat queues
+  // in the door's control mailbox. When it drains again it must renew the
+  // whole backlog before it judges any lease: sweeping right after the
+  // first beat would declare the nodes whose beats sit behind it dead.
+  constexpr int kDevices = 3;
+  constexpr int kLeaseMs = 50;
+  cnn::CnnModel m = model_a();
+  Rng rng(31);
+  const auto w = runtime::random_weights(m, rng);
+  auto fabric = runtime::make_fabric(kDevices, /*use_tcp=*/false);
+  runtime::DataPlaneStats stats;
+  const std::vector<runtime::TenantModel> fleet_models{{&m, &w}};
+  const std::vector<TenantSpec> fleet{
+      TenantSpec{&m, &w, equal_strategy(m, {0, 5}, kDevices)}};
+  auto providers =
+      runtime::spawn_providers_multi(fabric, kDevices, fleet_models, stats);
+  TelemetryTap door(fabric.requester());
+
+  ctrl::BandwidthProportionalPlanner planner;
+  ctrl::ControllerConfig config;
+  config.planner = &planner;
+  config.model = &m;
+  for (int i = 0; i < kDevices; ++i) {
+    config.latency.push_back(
+        device::make_latency_model(device::DeviceType::kNano));
+  }
+  config.network = net::Network(kDevices, 100.0);
+  config.lease_ms = kLeaseMs;
+  config.drift_threshold = 1e9;  // membership decisions only
+  ctrl::Controller controller(config);
+  controller.start_external(fleet[0].strategy);
+
+  StreamServer server(door, kDevices, fleet, stats);
+  const int stream = server.open_stream(0);
+  ASSERT_GE(stream, 0);
+  server.attach_controller(stream, &controller);
+
+  // The providers publish no heartbeats of their own: the test beats for
+  // every node, one round at a time.
+  std::uint32_t round = 0;
+  const auto beat_all = [&] {
+    ++round;
+    for (rpc::NodeId node = 0; node < kDevices; ++node) {
+      fabric.endpoints[static_cast<std::size_t>(node)]->send(
+          rpc::Address{kDevices, rpc::kTelemetryMailbox},
+          rpc::Frame(rpc::encode_heartbeat(rpc::HeartbeatMsg{node, round, 0})));
+    }
+  };
+  const auto renewed = [&](std::int64_t heartbeats) {
+    for (int spin = 0;
+         spin < 5000 && controller.stats().heartbeats < heartbeats; ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return controller.stats().heartbeats;
+  };
+
+  beat_all();
+  EXPECT_EQ(renewed(kDevices), kDevices);
+  door.hold();
+  EXPECT_TRUE(door.wait_parked());
+  std::this_thread::sleep_for(std::chrono::milliseconds(3 * kLeaseMs));
+  beat_all();  // queues behind the parked drain, every lease already lapsed
+  door.release();
+  EXPECT_EQ(renewed(2 * kDevices), 2 * kDevices);
+  // One more round: its drain comes after the backlog's sweep finished.
+  beat_all();
+  EXPECT_EQ(renewed(3 * kDevices), 3 * kDevices);
+  EXPECT_EQ(controller.stats().deaths, 0);
+  EXPECT_EQ(controller.stats().joins, 0);
+  server.close();
+}
+
+/// A provider's endpoint whose every data-plane send first sleeps kDelay,
+/// as a loopback TCP write can when the peer's socket buffers are full.
+class SlowDataSends final : public ForwardingTransport {
+ public:
+  static constexpr auto kDelay = std::chrono::milliseconds(50);
+  using ForwardingTransport::ForwardingTransport;
+
+  void send(const rpc::Address& to, rpc::Frame frame) override {
+    if (to.mailbox == rpc::kDataMailbox) std::this_thread::sleep_for(kDelay);
+    inner_.send(to, std::move(frame));
+  }
+};
+
+TEST(StreamServer, TelemetryComputeLeavesOutSendTime) {
+  // Providers send their halo and gather chunks on the computing thread.
+  // The per-image compute they report must count the kernels only: the
+  // controller scales its per-device compute model by that figure, so a
+  // device whose sends wait on the wire must not look slower at compute.
+  // Every send here waits 50 ms; this model's kernels take far less.
+  constexpr int kDevices = 2;
+  cnn::CnnModel m = model_a();
+  Rng rng(37);
+  const auto w = runtime::random_weights(m, rng);
+  auto fabric = runtime::make_fabric(kDevices, /*use_tcp=*/false);
+  std::vector<std::unique_ptr<SlowDataSends>> slow;
+  for (int i = 0; i < kDevices; ++i) {
+    auto& endpoint = fabric.endpoints[static_cast<std::size_t>(i)];
+    slow.push_back(std::make_unique<SlowDataSends>(*endpoint));
+    endpoint = slow.back().get();
+  }
+  runtime::DataPlaneStats stats;
+  const std::vector<runtime::TenantModel> fleet_models{{&m, &w}};
+  // Two volumes: every image crosses a halo exchange and a gather.
+  const std::vector<TenantSpec> fleet{
+      TenantSpec{&m, &w, equal_strategy(m, {0, 2, 5}, kDevices)}};
+  auto providers = runtime::spawn_providers_multi(
+      fabric, kDevices, fleet_models, stats, {}, {}, {},
+      /*telemetry_every=*/1);
+  TelemetryTap door(fabric.requester());
+  StreamServer server(door, kDevices, fleet, stats);
+
+  const int stream = server.open_stream(0);
+  ASSERT_GE(stream, 0);
+  const auto inputs = random_inputs(m, 3, rng);
+  for (const auto& input : inputs) {
+    ASSERT_TRUE(server.submit(stream, input));
+    auto out = server.pop(stream);
+    ASSERT_TRUE(out.has_value());
+    expect_equal(*out, runtime::run_reference(m, w, input), "slow-send image");
+  }
+  // One report per provider per image; the last ones may still be queued.
+  const auto want = static_cast<std::size_t>(kDevices) * inputs.size();
+  for (int spin = 0; spin < 5000 && door.compute_ms().size() < want; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const auto reports = door.compute_ms();
+  ASSERT_EQ(reports.size(), want);
+  for (const double ms : reports) {
+    EXPECT_GT(ms, 0.0);
+    EXPECT_LT(ms, static_cast<double>(SlowDataSends::kDelay.count()))
+        << "send time counted as compute";
+  }
+  server.close();
 }
 
 }  // namespace
