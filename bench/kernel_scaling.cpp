@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--list-isas") == 0) {
-      for (const auto isa : cnn::supported_kernel_isas()) {
+      for (const auto isa : supported_kernel_isas()) {
         std::printf("%s\n", to_string(isa));
       }
       return 0;
@@ -97,8 +97,8 @@ int main(int argc, char** argv) {
   const double budget_s = quick ? 0.2 : 1.0;
   const double gflop = static_cast<double>(layer.ops()) * 1e-9;
   const unsigned hw_threads = std::max(1u, std::thread::hardware_concurrency());
-  const auto isas = cnn::supported_kernel_isas();
-  const auto default_isa = cnn::default_kernel_isa();
+  const auto isas = supported_kernel_isas();
+  const auto default_isa = default_kernel_isa();
   std::printf("layer %s: %dx%dx%d -> %dx%dx%d, k%d s%d p%d (%.3f GFLOP)\n",
               layer.name.c_str(), layer.in_h, layer.in_w, layer.in_c,
               layer.out_h(), layer.out_w(), layer.out_c, layer.kernel,
@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
   // --- Per-ISA single-thread rows: bit-exactness proven per target, and the
   // dispatch ladder's speed ordering made visible.
   struct IsaPoint {
-    cnn::KernelIsa isa;
+    KernelIsa isa;
     double seconds;
     bool exact;
   };

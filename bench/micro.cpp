@@ -98,6 +98,24 @@ void BM_Gemm(benchmark::State& state) {
 }
 BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
 
+// out = a * b^T: the critic/actor backward's dL/dX GEMM (b transposed once
+// per call, then the same row kernel as gemm, every term summed).
+void BM_GemmABt(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  Rng rng(1);
+  nn::Matrix a(n, n), b(n, n), out;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    a.data()[i] = static_cast<float>(rng.uniform());
+    b.data()[i] = static_cast<float>(rng.uniform());
+  }
+  for (auto _ : state) {
+    nn::gemm_a_bt(a, b, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<long>(2 * n * n * n));
+}
+BENCHMARK(BM_GemmABt)->Arg(64)->Arg(128)->Arg(256);
+
 // The two conv engines head to head on one mid-VGG row band (same arithmetic
 // bit for bit; bench/kernel_scaling has the full scaling story).
 void BM_ConvRows(benchmark::State& state, cnn::ExecEngine engine) {

@@ -76,11 +76,7 @@ struct KernelTarget {
 };
 
 KernelTarget kernel_target(const ExecContext& ctx) {
-  const KernelIsa isa =
-      ctx.isa == KernelIsa::kAuto ? default_kernel_isa() : ctx.isa;
-  DE_REQUIRE(kernel_isa_supported(isa),
-             std::string("kernel ISA \"") + to_string(isa) +
-                 "\" is not supported on this host/build");
+  const KernelIsa isa = resolve_kernel_isa(ctx.isa);
   return {isa, detail::conv_band_fn(isa), detail::kernel_isa_lanes(isa)};
 }
 

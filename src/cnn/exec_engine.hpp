@@ -31,7 +31,7 @@
 #include <string>
 
 #include "cnn/conv_exec.hpp"
-#include "cnn/kernel_isa.hpp"
+#include "common/kernel_isa.hpp"
 #include "common/thread_pool.hpp"
 
 namespace de::cnn {

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "cnn/conv_exec.hpp"
-#include "cnn/kernel_isa.hpp"
+#include "common/kernel_isa.hpp"
 #include "cnn/layer.hpp"
 #include "cnn/vsl.hpp"
 

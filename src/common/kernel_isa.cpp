@@ -1,16 +1,17 @@
-#include "cnn/kernel_isa.hpp"
+#include "common/kernel_isa.hpp"
 
 #include <cstdlib>
 
-#include "cnn/exec_kernel.hpp"
 #include "common/require.hpp"
 
-namespace de::cnn {
+namespace de {
 
 namespace {
 
+/// Compiled in (DE_X86_ISA_KERNELS: the build gave the per-ISA kernel TUs
+/// their -m flags, see CMakeLists) and runnable on this CPU.
 bool cpu_supports(KernelIsa isa) {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#if defined(DE_X86_ISA_KERNELS)
   __builtin_cpu_init();
   switch (isa) {
     case KernelIsa::kGeneric: return true;
@@ -66,8 +67,7 @@ KernelIsa kernel_isa_from_string(const std::string& name) {
 }
 
 bool kernel_isa_supported(KernelIsa isa) {
-  if (isa == KernelIsa::kAuto) return false;
-  return detail::conv_band_fn(isa) != nullptr && cpu_supports(isa);
+  return isa != KernelIsa::kAuto && cpu_supports(isa);
 }
 
 std::vector<KernelIsa> supported_kernel_isas() {
@@ -84,4 +84,12 @@ KernelIsa default_kernel_isa() {
   return latched;
 }
 
-}  // namespace de::cnn
+KernelIsa resolve_kernel_isa(KernelIsa isa) {
+  const KernelIsa resolved = isa == KernelIsa::kAuto ? default_kernel_isa() : isa;
+  DE_REQUIRE(kernel_isa_supported(resolved),
+             std::string("kernel ISA \"") + to_string(resolved) +
+                 "\" is not supported on this host/build");
+  return resolved;
+}
+
+}  // namespace de

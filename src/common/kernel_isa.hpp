@@ -1,31 +1,34 @@
-// Runtime ISA dispatch for the fast conv micro-kernels.
+// Runtime ISA dispatch for the vectorised micro-kernels: the conv bands of
+// the fast execution engine (cnn/exec_kernel_*.cpp) and the row kernel
+// behind the DDPG networks' GEMMs (nn/row_kernel_*.cpp).
 //
-// The build compiles one conv-band translation unit per instruction-set
-// target (generic scalar, SSE2, AVX2, AVX-512); which one actually runs is
-// decided once per process, from cpuid, the first time a fast conv executes.
-// Every target is bit-exact with the reference engine — lane width is a
-// *layout* choice (how many independent output-channel accumulator chains
-// ride in one vector register), never an arithmetic one, and no target uses
-// fused multiply-add (an FMA rounds a*b+c once; the reference rounds twice).
+// The build compiles one translation unit per instruction-set target
+// (generic scalar, SSE2, AVX2, AVX-512) for each kernel; which one actually
+// runs is decided once per process, from cpuid, the first time a kernel
+// executes. Every target is bit-exact with the scalar reference — lane width
+// is a *layout* choice (how many independent accumulator chains ride in one
+// vector register), never an arithmetic one, and no target uses fused
+// multiply-add (an FMA rounds a*b+c once; the reference rounds twice).
 //
 // Selection order: AVX-512F > AVX2 > SSE2 > generic, restricted to targets
 // both compiled in and supported by the host CPU. `DE_KERNEL_ISA` overrides
 // (values as printed by to_string); naming a target the host cannot run is a
 // loud error, not a silent fallback — a conformance run forced to "avx512"
-// must never quietly measure SSE2. Per-call override via ExecContext::isa.
+// must never quietly measure SSE2. Per-call override via
+// cnn::ExecContext::isa; the nn GEMMs always run the process default.
 #pragma once
 
 #include <string>
 #include <vector>
 
-namespace de::cnn {
+namespace de {
 
 enum class KernelIsa {
   kAuto,     ///< resolve to default_kernel_isa() at execution time
   kGeneric,  ///< portable scalar lanes (any architecture)
-  kSse2,     ///< two 4-lane SSE vectors per 8-channel block
-  kAvx2,     ///< one 8-lane ymm per block (no FMA — bit-exactness)
-  kAvx512,   ///< one 16-lane zmm per block (16-channel packed layout)
+  kSse2,     ///< 4-lane SSE vectors
+  kAvx2,     ///< 8-lane ymm (no FMA — bit-exactness)
+  kAvx512,   ///< 16-lane zmm (no FMA — bit-exactness)
 };
 
 const char* to_string(KernelIsa isa);
@@ -46,4 +49,8 @@ std::vector<KernelIsa> supported_kernel_isas();
 /// Resolved once per process on first call and latched.
 KernelIsa default_kernel_isa();
 
-}  // namespace de::cnn
+/// `isa`, or default_kernel_isa() for kAuto; throws unless the result is
+/// supported.
+KernelIsa resolve_kernel_isa(KernelIsa isa);
+
+}  // namespace de

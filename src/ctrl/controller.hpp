@@ -146,7 +146,7 @@ class Controller {
 
   /// One device's live membership row. `lease_age_us` is how long ago the
   /// lease was last renewed on the controller's receive clock (-1 = never
-  /// heard from, still in the first-poll grace window). kJoining covers
+  /// heard from: booting, or dead without ever speaking). kJoining covers
   /// the gap between the controller adopting a (re)joined device and the
   /// serving loop applying that decision (take_swap) — the device is
   /// heartbeating but not yet serving rows.

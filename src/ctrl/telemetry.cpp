@@ -44,13 +44,15 @@ std::vector<MembershipEvent> TelemetryBook::poll_membership(
   for (std::size_t i = 0; i < lease_.size(); ++i) {
     Lease& lease = lease_[i];
     const auto node = static_cast<rpc::NodeId>(i);
+    bool expired = false;
     if (lease.last_renewal_us < 0) {
-      // Never heard from: start the lease now (grace period) instead of
-      // declaring a still-booting fleet dead at the first poll.
-      lease.last_renewal_us = now_us;
-      continue;
+      // Never heard from: still booting. The boot window runs from the
+      // first poll; only a node silent for all of it is dead.
+      if (lease.first_poll_us < 0) lease.first_poll_us = now_us;
+      expired = now_us - lease.first_poll_us > kBootLeases * lease_us;
+    } else {
+      expired = now_us - lease.last_renewal_us > lease_us;
     }
-    const bool expired = now_us - lease.last_renewal_us > lease_us;
     if (!lease.dead && expired) {
       lease.dead = true;
       // Reset the sequence floor: whatever comes back on this node id is a

@@ -84,21 +84,30 @@ class TelemetryBook {
   /// Sweeps the leases against `now_us`: a device whose last renewal is
   /// STRICTLY older than `lease_us` micros dies (a heartbeat landing
   /// exactly at expiry still saves it); a dead device that has renewed
-  /// since rejoins. Devices never heard from start their lease at the
-  /// first poll (grace period) rather than being declared dead before the
-  /// fleet finished starting. Returns the transitions since the last poll.
+  /// since rejoins. A device never heard from is still booting: it dies
+  /// only once more than kBootLeases leases have passed since the first
+  /// poll without its first heartbeat, so a slow start is not a death
+  /// followed by a join, yet a node that never speaks is still declared
+  /// dead. Returns the transitions since the last poll.
   std::vector<MembershipEvent> poll_membership(std::int64_t now_us,
                                                std::int64_t lease_us);
 
-  /// True while the device's lease is considered live (also true before
-  /// the first poll — unknown is not dead).
+  /// Leases a never-heard device gets, from the first poll, to send its
+  /// first heartbeat: process start, connection set-up and sanitizer
+  /// slowdown all land in this window, which steady-state renewals never
+  /// see. The count is a chosen allowance, not a measured bound: it is
+  /// also how long a device that never starts stays planned in.
+  static constexpr std::int64_t kBootLeases = 10;
+
+  /// True while the device's lease is considered live (also true while it
+  /// boots — unknown is not dead).
   bool alive(rpc::NodeId node) const;
 
   std::int64_t heartbeats() const { return heartbeats_; }
 
   /// Read-only copy of one device's lease, for the ops plane's /membership
   /// endpoint. `last_renewal_us` is on the receiver (controller) clock;
-  /// -1 = never heard from (still in its first-poll grace period).
+  /// -1 = never heard from (booting, or dead without ever speaking).
   struct LeaseInfo {
     rpc::NodeId node = rpc::kNilNode;
     std::uint32_t hb_seq = 0;
@@ -116,6 +125,7 @@ class TelemetryBook {
   struct Lease {
     std::uint32_t last_seq = 0;       ///< highest hb_seq this life
     std::int64_t last_renewal_us = -1; ///< receiver clock; -1 = never
+    std::int64_t first_poll_us = -1;   ///< first poll while never heard
     std::int64_t last_sender_us = 0;   ///< sender steady clock (diagnostic)
     bool dead = false;
   };

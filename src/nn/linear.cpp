@@ -1,6 +1,7 @@
 #include "nn/linear.hpp"
 
 #include <cmath>
+#include <span>
 
 #include "common/require.hpp"
 
@@ -46,9 +47,9 @@ void apply_activation(Activation act, Matrix& m) {
     case Activation::kNone:
       return;
     case Activation::kRelu:
-      for (std::size_t i = 0; i < m.size(); ++i) {
-        if (m.data()[i] < 0.0f) m.data()[i] = 0.0f;
-      }
+      // A select, not a branch: about half of all inputs are negative, so a
+      // branch mispredicts constantly. -0.0 and NaN pass through unchanged.
+      for (float& x : std::span(m.data(), m.size())) x = x < 0.0f ? 0.0f : x;
       return;
     case Activation::kTanh:
       for (std::size_t i = 0; i < m.size(); ++i) m.data()[i] = std::tanh(m.data()[i]);
@@ -61,11 +62,14 @@ void activation_backward(Activation act, const Matrix& post, Matrix& dpost) {
   switch (act) {
     case Activation::kNone:
       return;
-    case Activation::kRelu:
-      for (std::size_t i = 0; i < post.size(); ++i) {
-        if (post.data()[i] <= 0.0f) dpost.data()[i] = 0.0f;
+    case Activation::kRelu: {
+      const float* p = post.data();
+      float* d = dpost.data();
+      for (std::size_t i = 0, n = post.size(); i < n; ++i) {
+        d[i] = p[i] <= 0.0f ? 0.0f : d[i];
       }
       return;
+    }
     case Activation::kTanh:
       for (std::size_t i = 0; i < post.size(); ++i) {
         const float t = post.data()[i];

@@ -1,6 +1,7 @@
 #include "nn/matrix.hpp"
 
 #include "common/require.hpp"
+#include "nn/row_kernel.hpp"
 
 namespace de::nn {
 
@@ -17,50 +18,90 @@ void Matrix::resize(std::size_t rows, std::size_t cols, float value) {
   data_.assign(rows * cols, value);
 }
 
+namespace {
+
+void row_kernel_generic(float* out, std::size_t n, const float* const* rows,
+                        const float* val, std::size_t count) {
+  for (std::size_t t = 0; t < count; ++t) {
+    const float av = val[t];
+    const float* row = rows[t];
+    for (std::size_t j = 0; j < n; ++j) out[j] += av * row[j];
+  }
+}
+
+/// out[i, :] += sum over p ascending of a[i * a_row + p * a_col] * b[p, :]
+/// for i in [0, m), b being [k, n] and out [m, n]. Each row's terms are
+/// gathered first (branch-free, dropping ±0 factors when `skip_zero`), so
+/// the kernel runs without a data-dependent branch.
+void madd_rows(float* out, const float* a, std::size_t a_row,
+               std::size_t a_col, const float* b, std::size_t m, std::size_t k,
+               std::size_t n, bool skip_zero) {
+  const detail::RowKernelFn kernel = detail::row_kernel(KernelIsa::kAuto);
+  thread_local std::vector<const float*> rows;
+  thread_local std::vector<float> val;
+  if (rows.size() < k) {
+    rows.resize(k);
+    val.resize(k);
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    std::size_t count = 0;
+    for (std::size_t p = 0; p < k; ++p) {
+      const float v = a[i * a_row + p * a_col];
+      rows[count] = b + p * n;
+      val[count] = v;
+      count += (!skip_zero || v != 0.0f) ? 1 : 0;
+    }
+    kernel(out + i * n, n, rows.data(), val.data(), count);
+  }
+}
+
+}  // namespace
+
+detail::RowKernelFn detail::row_kernel(KernelIsa isa) {
+  RowKernelFn kernel = nullptr;
+  switch (resolve_kernel_isa(isa)) {
+    case KernelIsa::kGeneric:
+    case KernelIsa::kSse2:
+      kernel = &row_kernel_generic;
+      break;
+    case KernelIsa::kAvx2:
+      kernel = kRowKernelAvx2;
+      break;
+    case KernelIsa::kAvx512:
+      kernel = kRowKernelAvx512;
+      break;
+    case KernelIsa::kAuto:
+      break;
+  }
+  DE_REQUIRE(kernel != nullptr, "nn row kernel not compiled for this ISA");
+  return kernel;
+}
+
 void gemm(const Matrix& a, const Matrix& b, Matrix& out) {
   DE_REQUIRE(a.cols() == b.rows(), "gemm shape mismatch");
   out.resize(a.rows(), b.cols());
   const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
-  for (std::size_t i = 0; i < m; ++i) {
-    float* out_row = out.data() + i * n;
-    for (std::size_t p = 0; p < k; ++p) {
-      const float av = a(i, p);
-      if (av == 0.0f) continue;
-      const float* b_row = b.data() + p * n;
-      for (std::size_t j = 0; j < n; ++j) out_row[j] += av * b_row[j];
-    }
-  }
+  madd_rows(out.data(), a.data(), k, 1, b.data(), m, k, n, /*skip_zero=*/true);
 }
 
 void gemm_at_b(const Matrix& a, const Matrix& b, Matrix& out) {
   DE_REQUIRE(a.rows() == b.rows(), "gemm_at_b shape mismatch");
   out.resize(a.cols(), b.cols());
   const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
-  for (std::size_t p = 0; p < k; ++p) {
-    const float* a_row = a.data() + p * m;
-    const float* b_row = b.data() + p * n;
-    for (std::size_t i = 0; i < m; ++i) {
-      const float av = a_row[i];
-      if (av == 0.0f) continue;
-      float* out_row = out.data() + i * n;
-      for (std::size_t j = 0; j < n; ++j) out_row[j] += av * b_row[j];
-    }
-  }
+  madd_rows(out.data(), a.data(), 1, m, b.data(), m, k, n, /*skip_zero=*/true);
 }
 
 void gemm_a_bt(const Matrix& a, const Matrix& b, Matrix& out) {
   DE_REQUIRE(a.cols() == b.cols(), "gemm_a_bt shape mismatch");
   out.resize(a.rows(), b.rows());
   const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* a_row = a.data() + i * k;
-    for (std::size_t j = 0; j < n; ++j) {
-      const float* b_row = b.data() + j * k;
-      float acc = 0.0f;
-      for (std::size_t p = 0; p < k; ++p) acc += a_row[p] * b_row[p];
-      out(i, j) = acc;
-    }
+  // b^T once, so each output row is the same contiguous row sum as gemm's.
+  thread_local std::vector<float> bt;
+  if (bt.size() < k * n) bt.resize(k * n);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t p = 0; p < k; ++p) bt[p * n + j] = b(j, p);
   }
+  madd_rows(out.data(), a.data(), k, 1, bt.data(), m, k, n, /*skip_zero=*/false);
 }
 
 void add_row_vector(Matrix& m, const Matrix& bias) {

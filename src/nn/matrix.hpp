@@ -1,6 +1,11 @@
 // Minimal dense row-major float matrix with the GEMM variants a hand-rolled
-// MLP needs. Deliberately simple: DDPG's networks are tiny ({400,200,100}
-// hidden), so clarity beats blocking/vectorisation tricks here.
+// MLP needs. DDPG's networks are small ({400,200,100} hidden at most), but
+// OSDS trains them for thousands of steps per plan, so these GEMMs are most
+// of the planner's time. All three reduce to one row kernel, vectorised per
+// dispatch target (nn/row_kernel.hpp, common/kernel_isa.hpp) and bit-exact
+// on every target: each output element is summed over the inner dimension
+// in ascending order, starting from 0, one rounded multiply and one rounded
+// add per term, as the plain triple loop does.
 #pragma once
 
 #include <cstddef>
@@ -32,6 +37,9 @@ class Matrix {
   std::size_t cols_ = 0;
   std::vector<float> data_;
 };
+
+// gemm and gemm_at_b skip the terms whose `a` factor is ±0 (ReLU zeroes
+// about half of every activation); gemm_a_bt sums every term.
 
 /// out = a * b                  [m,k] x [k,n] -> [m,n]
 void gemm(const Matrix& a, const Matrix& b, Matrix& out);

@@ -599,10 +599,14 @@ TEST(ExecEngine, UnsupportedForcedIsaIsALoudError) {
     EXPECT_THROW(
         conv_forward_rows(l, in, 0, RowInterval{0, l.out_h()}, w, ctx), Error);
   }
-  // And the supported list always has the generic target, first.
+  // And the supported list always has the generic target, first, and a
+  // compiled conv band for every entry.
   const auto isas = supported_kernel_isas();
   ASSERT_FALSE(isas.empty());
   EXPECT_EQ(isas.front(), KernelIsa::kGeneric);
+  for (const KernelIsa isa : isas) {
+    EXPECT_NE(detail::conv_band_fn(isa), nullptr) << to_string(isa);
+  }
 }
 
 TEST(ExecEngine, ReferenceContextIsTheReferencePath) {

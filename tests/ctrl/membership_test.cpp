@@ -76,13 +76,19 @@ TEST(Lease, HeartbeatExactlyAtExpiryStillSaves) {
 
 TEST(Lease, NeverHeardDevicesGetAGracePeriodFromFirstPoll) {
   TelemetryBook book(2);
-  // Nobody ever heartbeat. The first poll starts the leases instead of
+  constexpr std::int64_t kBootUs = TelemetryBook::kBootLeases * kLeaseUs;
+  // Nobody ever heartbeat. The first poll starts a boot window instead of
   // declaring the whole (still-starting) fleet dead...
   EXPECT_TRUE(book.poll_membership(500, kLeaseUs).empty());
-  // ...and the clock runs from that first poll.
-  EXPECT_TRUE(book.poll_membership(500 + kLeaseUs, kLeaseUs).empty());
-  const auto events = book.poll_membership(500 + kLeaseUs + 1, kLeaseUs);
+  // ...one lease is not enough to condemn a node that never spoke...
+  EXPECT_TRUE(book.poll_membership(500 + kLeaseUs + 1, kLeaseUs).empty());
+  EXPECT_TRUE(book.alive(0));
+  // ...but the boot window, counted from that first poll, is.
+  EXPECT_TRUE(book.poll_membership(500 + kBootUs, kLeaseUs).empty());
+  const auto events = book.poll_membership(500 + kBootUs + 1, kLeaseUs);
   EXPECT_EQ(deaths_only(events).size(), 2u);
+  EXPECT_FALSE(book.alive(0));
+  EXPECT_TRUE(book.poll_membership(500 + 2 * kBootUs, kLeaseUs).empty());
 }
 
 TEST(Lease, SenderClockSkewCannotKillADevice) {
@@ -225,6 +231,21 @@ TEST(ControllerMembership, LateBatchOfHeartbeatsKillsNobody) {
   EXPECT_FALSE(ext.controller->membership_pending());
   EXPECT_EQ(ext.controller->stats().deaths, 0);
   EXPECT_EQ(ext.controller->stats().heartbeats, 6);
+}
+
+TEST(ControllerMembership, LateFirstHeartbeatIsNeitherDeathNorJoin) {
+  // Node 1 takes three 50 ms leases to boot while node 0 renews from t=0.
+  // A slow start is not a death followed by a join.
+  ExternalController ext(2);
+  std::uint32_t seq0 = 0, seq1 = 0;
+  for (std::int64_t t = 0; t <= 400'000; t += 10'000) {
+    ext.beat(0, ++seq0, t);
+    if (t >= 150'000) ext.beat(1, ++seq1, t);
+  }
+  EXPECT_FALSE(ext.controller->membership_pending());
+  const auto stats = ext.controller->stats();
+  EXPECT_EQ(stats.deaths, 0);
+  EXPECT_EQ(stats.joins, 0);
 }
 
 TEST(ControllerMembership, RejoinAdoptsWithProfileOnJoinCalibration) {

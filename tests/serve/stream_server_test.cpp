@@ -722,6 +722,68 @@ TEST(StreamServer, LateHeartbeatBacklogKillsNobody) {
   server.close();
 }
 
+TEST(StreamServer, NodeThatNeverSpeaksIsDeclaredDeadAndServingCompletes) {
+  // Device 1 is down before its provider starts, so it never heartbeats.
+  // Its boot window (kBootLeases leases from the door's first sweep) keeps
+  // it planned in at first and the first image waits on it; once the
+  // window lapses it is declared dead, the pump replans over the survivors
+  // and every image completes bit-exact. It never joins.
+  constexpr int kDevices = 3;
+  constexpr int kLeaseMs = 40;
+  cnn::CnnModel m = model_a();
+  Rng rng(37);
+  const auto w = runtime::random_weights(m, rng);
+  rpc::FaultSpec faults;  // zero probabilities: a pure kill switch
+  auto fabric = runtime::make_fabric(kDevices, /*use_tcp=*/false, &faults);
+  fabric.set_node_down(1, true);
+  runtime::DataPlaneStats stats;
+  const std::vector<runtime::TenantModel> fleet_models{{&m, &w}};
+  const std::vector<TenantSpec> fleet{
+      TenantSpec{&m, &w, equal_strategy(m, {0, 5}, kDevices)}};
+  StreamServerOptions options;
+  options.reliability.enabled = true;
+  auto providers = runtime::spawn_providers_multi(
+      fabric, kDevices, fleet_models, stats, options.reliability, {}, {},
+      /*telemetry_every=*/0, /*heartbeat_ms=*/5);
+
+  ctrl::BandwidthProportionalPlanner planner;
+  ctrl::ControllerConfig config;
+  config.planner = &planner;
+  config.model = &m;
+  for (int i = 0; i < kDevices; ++i) {
+    config.latency.push_back(
+        device::make_latency_model(device::DeviceType::kNano));
+  }
+  config.network = net::Network(kDevices, 100.0);
+  config.lease_ms = kLeaseMs;
+  config.drift_threshold = 1e9;  // membership decisions only
+  ctrl::Controller controller(config);
+  controller.start_external(fleet[0].strategy);
+
+  StreamServer server(fabric.requester(), kDevices, fleet, stats, options);
+  const int stream = server.open_stream(0);
+  ASSERT_GE(stream, 0);
+  server.attach_controller(stream, &controller);
+
+  const auto inputs = random_inputs(m, 6, rng);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::size_t k = 0; k < inputs.size(); ++k) {
+    ASSERT_TRUE(server.submit(stream, inputs[k]));
+    auto out = server.pop(stream);
+    ASSERT_TRUE(out.has_value()) << "image " << k;
+    expect_equal(*out, runtime::run_reference(m, w, inputs[k]),
+                 "image " + std::to_string(k));
+  }
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(controller.stats().deaths, 1);
+  EXPECT_EQ(controller.stats().joins, 0);
+  EXPECT_GE(waited, std::chrono::milliseconds(ctrl::TelemetryBook::kBootLeases *
+                                              kLeaseMs));
+  server.close();
+  fabric.shutdown_all();  // device 1 never hears the door's kShutdown
+  providers.join_all();
+}
+
 /// A provider's endpoint whose every data-plane send first sleeps kDelay,
 /// as a loopback TCP write can when the peer's socket buffers are full.
 class SlowDataSends final : public ForwardingTransport {
